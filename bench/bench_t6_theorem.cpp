@@ -53,15 +53,12 @@ Margin run(double eps, int skew_mode, int latency_us, std::uint64_t seed) {
   sc.run_until_s(30.0);
 
   Margin m;
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-      m.steal = e.at.seconds();
-    }
-    if (e.category == "lease" && e.node == sc.client_node(0) &&
-        e.detail.find("lease expired") != std::string::npos) {
+  sc.recorder().visit_merged([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockSteal) m.steal = e.at.seconds();
+    if (e.kind == obs::EventKind::kLeaseExpire && e.node == sc.client_node(0)) {
       m.expired = e.at.seconds();
     }
-  }
+  });
   return m;
 }
 

@@ -1,0 +1,30 @@
+# Runs one figure bench and compares its stdout byte for byte against a
+# golden file. The figure benches are deterministic: every table cell comes
+# from a seeded simulation, and the JSON report line goes only to
+# $STANK_BENCH_JSON, which is cleared here.
+#
+#   cmake -DBENCH=<binary> -DGOLDEN=<file> -P compare.cmake
+#
+# Regenerate a golden file with `STANK_BENCH_JSON= <binary> > <file>` after a
+# change that is meant to move a figure, and say why in the commit.
+if(NOT BENCH OR NOT GOLDEN)
+  message(FATAL_ERROR "usage: cmake -DBENCH=<binary> -DGOLDEN=<file> -P compare.cmake")
+endif()
+
+unset(ENV{STANK_BENCH_JSON})
+execute_process(COMMAND "${BENCH}"
+                OUTPUT_VARIABLE actual
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BENCH} exited with ${rc}")
+endif()
+
+file(READ "${GOLDEN}" expected)
+if(NOT actual STREQUAL expected)
+  get_filename_component(name "${GOLDEN}" NAME_WE)
+  set(actual_file "${CMAKE_CURRENT_BINARY_DIR}/${name}.actual.txt")
+  file(WRITE "${actual_file}" "${actual}")
+  message(FATAL_ERROR "stdout differs from ${GOLDEN}\n"
+                      "actual output written to ${actual_file}\n"
+                      "diff: diff -u ${GOLDEN} ${actual_file}")
+endif()

@@ -21,7 +21,9 @@
 // tools/trace_dump (and `--chrome` for ui.perfetto.dev).
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -98,13 +100,23 @@ int main(int argc, char** argv) {
               c0.registered() ? "yes" : "no", to_string(c0.lease_phase()));
 
   std::printf("\n-- protocol trace --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lease" || e.category == "lock" || e.category == "fence" ||
-        e.category == "session") {
-      std::printf("%8.3fs  n%-3u [%-7s] %s\n", e.at.seconds(), e.node.value(),
-                  e.category.c_str(), e.detail.c_str());
+  obs::write_timeline(sc.recorder(), std::cout, [](const obs::Event& e) {
+    switch (e.kind) {
+      case obs::EventKind::kLeasePhase:  // the ride-down, not routine renewals
+        return e.b >= static_cast<std::uint64_t>(core::LeasePhase::kSuspect);
+      case obs::EventKind::kStandingChange:
+      case obs::EventKind::kDeliveryFailure:
+      case obs::EventKind::kLockGrant:
+      case obs::EventKind::kLockDemand:
+      case obs::EventKind::kLockSteal:
+      case obs::EventKind::kFence:
+      case obs::EventKind::kUnfence:
+      case obs::EventKind::kRegister:
+        return true;
+      default:
+        return false;
     }
-  }
+  });
 
   if (argc > 1) {
     std::ofstream f(argv[1], std::ios::binary);

@@ -8,8 +8,10 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <iostream>
 #include <string>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -71,11 +73,17 @@ int main() {
               static_cast<unsigned long long>(sc.server().counters().lease_ops));
 
   std::printf("\n-- trace (lock/lease events) --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" || e.category == "lease") {
-      std::printf("%8.3fs  n%-3u [%s] %s\n", e.at.seconds(), e.node.value(), e.category.c_str(),
-                  e.detail.c_str());
+  obs::write_timeline(sc.recorder(), std::cout, [](const obs::Event& e) {
+    switch (e.kind) {
+      case obs::EventKind::kLockGrant:
+      case obs::EventKind::kLockQueue:
+      case obs::EventKind::kLockDemand:
+      case obs::EventKind::kLockRelease:
+      case obs::EventKind::kLeasePhase:
+        return true;
+      default:
+        return false;
     }
-  }
+  });
   return 0;
 }

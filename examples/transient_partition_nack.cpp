@@ -10,7 +10,9 @@
 //
 // Build & run:  ./build/examples/transient_partition_nack
 #include <cstdio>
+#include <iostream>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -59,11 +61,17 @@ int main() {
               static_cast<unsigned long long>(sc.server().counters().nacks_sent));
 
   std::printf("\n-- trace --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lease" || e.category == "session") {
-      std::printf("%8.3fs  n%-3u [%-7s] %s\n", e.at.seconds(), e.node.value(),
-                  e.category.c_str(), e.detail.c_str());
+  obs::write_timeline(sc.recorder(), std::cout, [](const obs::Event& e) {
+    switch (e.kind) {
+      case obs::EventKind::kLeasePhase:  // the ride-down, not routine renewals
+        return e.b >= static_cast<std::uint64_t>(core::LeasePhase::kSuspect);
+      case obs::EventKind::kNackRecv:
+      case obs::EventKind::kStandingChange:
+      case obs::EventKind::kRegister:
+        return true;
+      default:
+        return false;
     }
-  }
+  });
   return 0;
 }

@@ -1,11 +1,11 @@
 // Typed flight-recorder events.
 //
-// The string TraceLog is great for test assertions but costs a heap string
-// per event, which rules it out on the hot path. The recorder's native unit
-// is instead a fixed 32-byte POD: an event kind from a closed taxonomy, the
-// node it happened on, and two u64 payload words whose meaning the kind
-// defines. No strings, no allocation, no formatting — writing one is a
-// bounds check and a struct store into a per-node ring.
+// The recorder's native unit is a fixed 32-byte POD: an event kind from a
+// closed taxonomy, the node it happened on, and two u64 payload words whose
+// meaning the kind defines. No strings, no allocation, no formatting —
+// writing one is a bounds check and a struct store into a per-node ring.
+// Tests, the paper-figure benches and the text exporters all read these
+// events; there is no second, string-shaped trace channel.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,8 @@ enum class EventKind : std::uint16_t {
   // -- server lease authority -- (node = server, a = client node)
   kStandingChange,      // b = new ClientStanding value
   kStealTimerArm,       // b = server-wait local duration ns
-  kLockSteal,           // server fenced + stole the client's locks
+  kLockSteal,           // b = locks stolen; recorded once the steal runs
+                        // (after the fence round in fencing modes)
 
   // -- lock manager -- (node = requesting/holding client)
   kLockGrant,           // a = file id, b = mode granted
@@ -71,14 +72,18 @@ enum class EventKind : std::uint16_t {
   kNetDup,              // b = extra copies injected
   kNetReorder,          // b = spike delay ns
 
-  // A string annotation recorded through the legacy TraceLog adapter lives
-  // in the side channel; this marker only appears in merged export views.
-  kAnnotation,
-
   // -- invariant watchdog -- (node = 0, the omniscient observer;
   //    a = probe index, b = bit_cast<u64> of the offending double value)
   kWatchdogTrip,   // a probe left its legal band (edge-triggered)
   kWatchdogClear,  // the probe returned to its band
+
+  // -- server recovery and byzantine clients --
+  kDemandTimeout,  // node = server, a = holder client, b = file id: the
+                   // holder never complied with a delivered demand
+  kFenceRetry,     // node = client being fenced, a = ErrorCode of the
+                   // incomplete round; the fence is re-sent
+  kByzantine,      // node = misbehaving client, a = ByzAction, b = file id
+                   // or page count where the action has one
 
   kCount_,
 };
@@ -129,10 +134,32 @@ enum class DropCause : std::uint8_t {
     case EventKind::kNetDrop: return "net-drop";
     case EventKind::kNetDup: return "net-dup";
     case EventKind::kNetReorder: return "net-reorder";
-    case EventKind::kAnnotation: return "annotation";
     case EventKind::kWatchdogTrip: return "watchdog-trip";
     case EventKind::kWatchdogClear: return "watchdog-clear";
+    case EventKind::kDemandTimeout: return "demand-timeout";
+    case EventKind::kFenceRetry: return "fence-retry";
+    case EventKind::kByzantine: return "byzantine";
     case EventKind::kCount_: break;
+  }
+  return "?";
+}
+
+// Payload word a of kByzantine: which misbehaviour the client acted out.
+enum class ByzAction : std::uint8_t {
+  kNackIgnored = 0,      // defy_quiesce: a NACK did not start the ride-down
+  kQuiesceDefied = 1,    // defy_quiesce: phase 3 kept serving local ops
+  kFlushWithheld = 2,    // write_after_expiry: phase 4 kept the dirty data
+  kDemandSwallowed = 3,  // ack_without_release: b = file id
+  kRogueSnapshot = 4,    // write_after_expiry: b = dirty pages kept for later
+};
+
+[[nodiscard]] constexpr const char* to_string(ByzAction a) {
+  switch (a) {
+    case ByzAction::kNackIgnored: return "nack-ignored";
+    case ByzAction::kQuiesceDefied: return "quiesce-defied";
+    case ByzAction::kFlushWithheld: return "flush-withheld";
+    case ByzAction::kDemandSwallowed: return "demand-swallowed";
+    case ByzAction::kRogueSnapshot: return "rogue-snapshot";
   }
   return "?";
 }
@@ -153,8 +180,8 @@ enum class DropCause : std::uint8_t {
 }
 
 // One recorded event. Global sim time: the recorder is an omniscient
-// observer, like the TraceLog before it; per-node local clocks appear only
-// inside payload words where a kind says so.
+// observer; per-node local clocks appear only inside payload words where a
+// kind says so.
 struct Event {
   sim::SimTime at{};
   NodeId node{};

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/result.hpp"
+
 namespace stank::obs {
 
 namespace {
@@ -94,7 +96,17 @@ std::string detail_string(const Event& e) {
       os << "client=n" << e.a << " wait=" << static_cast<double>(e.b) / 1e6 << "ms";
       break;
     case EventKind::kLockSteal:
-      os << "client=n" << e.a;
+      os << "client=n" << e.a << " locks=" << e.b;
+      break;
+    case EventKind::kDemandTimeout:
+      os << "client=n" << e.a << " file=f" << e.b;
+      break;
+    case EventKind::kFenceRetry:
+      os << "error=" << to_string(static_cast<ErrorCode>(e.a));
+      break;
+    case EventKind::kByzantine:
+      os << to_string(static_cast<ByzAction>(e.a));
+      if (e.b != 0) os << " b=" << e.b;
       break;
     case EventKind::kLockGrant:
     case EventKind::kLockQueue:
@@ -107,6 +119,9 @@ std::string detail_string(const Event& e) {
       break;
     case EventKind::kRegister:
       os << "epoch=" << e.a;
+      break;
+    case EventKind::kUnfence:
+      os << "key=" << e.a;
       break;
     case EventKind::kNetDrop:
       os << "to=n" << e.a << " cause=";
@@ -134,10 +149,8 @@ std::string detail_string(const Event& e) {
     case EventKind::kKeepaliveSend:
     case EventKind::kLeaseExpire:
     case EventKind::kFence:
-    case EventKind::kUnfence:
     case EventKind::kCrash:
     case EventKind::kRestart:
-    case EventKind::kAnnotation:
     case EventKind::kNone:
     case EventKind::kCount_:
       if (e.a != 0 || e.b != 0) os << "a=" << e.a << " b=" << e.b;
@@ -229,17 +242,6 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
     }
   }
 
-  // Legacy string annotations.
-  for (const auto& a : rec.annotations()) {
-    sep.next(os);
-    os << R"({"name":")";
-    json_escape(os, a.category);
-    os << R"(","cat":"annotation","ph":"i","ts":)" << to_us(a.at) << R"(,"s":"t","pid":)"
-       << a.node.value() << ",\"tid\":2,\"args\":{\"detail\":\"";
-    json_escape(os, a.detail);
-    os << "\"}}";
-  }
-
   // Sampled time series as counter tracks.
   for (const auto& s : rec.series()) {
     for (const auto& p : s.points) {
@@ -254,8 +256,10 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
   os << "\n]}\n";
 }
 
-void write_timeline(const Recorder& rec, std::ostream& os, bool filter_node, NodeId node) {
-  const auto emit = [&os](const Event& e) {
+void write_timeline(const Recorder& rec, std::ostream& os,
+                    const std::function<bool(const Event&)>& keep) {
+  rec.visit_merged([&](const Event& e) {
+    if (keep && !keep(e)) return;
     // StrongId streams as two insertions ("n" + value), so setw would pad
     // only the prefix; render it to one string first.
     std::ostringstream ns;
@@ -263,12 +267,7 @@ void write_timeline(const Recorder& rec, std::ostream& os, bool filter_node, Nod
     os << std::fixed << std::setprecision(6) << std::setw(12) << e.at.seconds() << "s  "
        << std::left << std::setw(7) << ns.str() << std::setw(22) << to_string(e.kind)
        << std::right << "  " << detail_string(e) << "\n";
-  };
-  if (filter_node) {
-    rec.visit_node(node, emit);
-  } else {
-    rec.visit_merged(emit);
-  }
+  });
 }
 
 }  // namespace stank::obs

@@ -3,6 +3,7 @@
 // here is ever called during simulation.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -16,16 +17,15 @@ namespace stank::obs {
 //  * kLeasePhase events per node are folded into complete "X" duration
 //    slices on a "lease phases" track, one slice per phase residency;
 //  * every other typed event is an instant ("i") on an "events" track;
-//  * legacy string annotations are instants on an "annotations" track;
 //  * sampled time series become "C" counter events under a synthetic
 //    "metrics" process.
 void write_chrome_trace(const Recorder& rec, std::ostream& os);
 
 // Human-readable merged timeline: one line per event in global time order,
-// with payload words decoded per kind. node filter: pass a default NodeId{}
-// plus filter=false for "all nodes".
-void write_timeline(const Recorder& rec, std::ostream& os, bool filter_node = false,
-                    NodeId node = NodeId{});
+// with payload words decoded per kind. `keep`, when set, selects the events
+// to print (a node, a set of kinds); unset prints everything.
+void write_timeline(const Recorder& rec, std::ostream& os,
+                    const std::function<bool(const Event&)>& keep = {});
 
 // Pretty-prints one event's payload (e.g. "active -> renewal" for a
 // kLeasePhase event). Shared by the timeline and the trace_dump CLI.

@@ -13,7 +13,7 @@ namespace stank::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'T', 'N', 'K', 'T', 'R', 'C', '1'};
+constexpr char kMagic[8] = {'S', 'T', 'N', 'K', 'T', 'R', 'C', '2'};
 // Element-count sanity bound for load(): rejects counts that only a
 // corrupted stream could produce before they turn into giant allocations.
 constexpr std::uint64_t kMaxLoadCount = 1ull << 32;
@@ -118,10 +118,6 @@ void Recorder::absorb_series_from(const Recorder& other) {
   }
 }
 
-void Recorder::annotate(sim::SimTime at, NodeId node, std::string category, std::string detail) {
-  annotations_.push_back(Annotation{at, node, std::move(category), std::move(detail)});
-}
-
 std::size_t Recorder::total_events() const {
   std::size_t n = 0;
   for (const auto& [node, ring] : rings_) n += ring.buf.size();
@@ -220,7 +216,6 @@ void Recorder::clear() {
   rings_.clear();
   for (auto& h : spans_) h.clear();
   series_.clear();
-  annotations_.clear();
 }
 
 void Recorder::save(std::ostream& os) const {
@@ -235,14 +230,6 @@ void Recorder::save(std::ostream& os) const {
     wr(os, static_cast<std::uint64_t>(ring.buf.size()));
     // Written oldest-first so the ring round-trips normalized (head = 0).
     visit_node(node, [&os](const Event& e) { wr(os, e); });
-  }
-
-  wr(os, static_cast<std::uint64_t>(annotations_.size()));
-  for (const auto& a : annotations_) {
-    wr(os, a.at.ns);
-    wr(os, a.node.value());
-    wr_str(os, a.category);
-    wr_str(os, a.detail);
   }
 
   wr(os, static_cast<std::uint64_t>(series_.size()));
@@ -286,19 +273,6 @@ bool Recorder::load(std::istream& is) {
       if (!rd(is, e)) return false;
       ring.buf.push_back(e);
     }
-  }
-
-  std::uint64_t ann_count = 0;
-  if (!rd(is, ann_count) || ann_count > kMaxLoadCount) return false;
-  for (std::uint64_t i = 0; i < ann_count; ++i) {
-    Annotation a;
-    std::uint32_t node_val = 0;
-    if (!rd(is, a.at.ns) || !rd(is, node_val) || !rd_str(is, a.category) ||
-        !rd_str(is, a.detail)) {
-      return false;
-    }
-    a.node = NodeId{node_val};
-    annotations_.push_back(std::move(a));
   }
 
   std::uint64_t series_count = 0;

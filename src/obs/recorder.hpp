@@ -1,6 +1,5 @@
 // The flight recorder: per-node ring buffers of typed events, span latency
-// histograms, sampled time series, and a string-annotation side channel for
-// the legacy TraceLog.
+// histograms and sampled time series.
 //
 // A component holds a `Recorder*` that is null in steady state; every
 // instrumentation site is `if (rec_) rec_->record(...)` — one predictable
@@ -26,17 +25,6 @@ class Engine;
 }  // namespace stank::sim
 
 namespace stank::obs {
-
-// A string event recorded through the legacy TraceLog adapter. Kept out of
-// the binary rings — strings are exactly what the typed path exists to
-// avoid — but stamped in the same global time frame so exports can merge
-// the two streams.
-struct Annotation {
-  sim::SimTime at;
-  NodeId node;
-  std::string category;
-  std::string detail;
-};
 
 // One point of a named time series (sampled metric).
 struct SeriesPoint {
@@ -90,13 +78,6 @@ class Recorder {
   // their series into one recorder before save().
   void absorb_series_from(const Recorder& other);
 
-  // Legacy string channel.
-  void annotate(sim::SimTime at, NodeId node, std::string category, std::string detail);
-  [[nodiscard]] const std::vector<Annotation>& annotations() const { return annotations_; }
-  // Clears only the string channel (TraceLog::clear semantics); the typed
-  // rings, spans and series survive.
-  void clear_annotations() { annotations_.clear(); }
-
   // -- queries --
   [[nodiscard]] std::size_t total_events() const;
   // Events overwritten by ring wrap, across all nodes.
@@ -118,8 +99,8 @@ class Recorder {
 
   void clear();
 
-  // Binary flight-recorder file ("STNKTRC1"): rings, annotations, series,
-  // and span samples. load() replaces this recorder's contents; returns
+  // Binary flight-recorder file ("STNKTRC2"): rings, series and span
+  // samples. load() replaces this recorder's contents; returns
   // false on a short or foreign stream.
   void save(std::ostream& os) const;
   [[nodiscard]] bool load(std::istream& is);
@@ -138,7 +119,6 @@ class Recorder {
   FlatMap<NodeId, Ring> rings_;
   std::array<metrics::Histogram, kSpanKindCount> spans_;
   std::vector<Series> series_;
-  std::vector<Annotation> annotations_;
 };
 
 }  // namespace stank::obs

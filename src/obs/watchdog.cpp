@@ -1,7 +1,6 @@
 #include "obs/watchdog.hpp"
 
 #include <bit>
-#include <cstdio>
 
 namespace stank::obs {
 
@@ -50,10 +49,7 @@ void Watchdog::evaluate(sim::SimTime at) {
       ++trips_;
       rec_->record(at, NodeId{0}, EventKind::kWatchdogTrip, i,
                    std::bit_cast<std::uint64_t>(v));
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "%s value=%g legal=[%g, %g]%s", p.name.c_str(),
-                    v, p.lo, p.hi, p.is_rate ? " (delta per eval)" : "");
-      rec_->annotate(at, NodeId{0}, "watchdog", buf);
+      rec_->sample("watchdog/" + p.name, at.seconds(), v);
     } else if (!violated && p.tripped) {
       p.tripped = false;
       rec_->record(at, NodeId{0}, EventKind::kWatchdogClear, i,

@@ -11,9 +11,10 @@
 // happens-before-visible.
 //
 // Probes are edge-triggered: one kWatchdogTrip when the value leaves its
-// legal band, one kWatchdogClear when it returns. A trip also records a
-// string annotation carrying the probe name and bound — allocation is fine
-// there, anomalies are rare by definition.
+// legal band, one kWatchdogClear when it returns. A trip also appends the
+// offending value to the series "watchdog/<probe name>", so the name
+// survives save/load and shows as a counter track in the Chrome export —
+// allocation is fine there, anomalies are rare by definition.
 #pragma once
 
 #include <cstdint>

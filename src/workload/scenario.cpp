@@ -119,7 +119,7 @@ void Scenario::build() {
   }
   server_ = std::make_unique<server::Server>(engine_, *net_, *san_,
                                              sim::LocalClock(draw_rate(true)), scfg,
-                                             cfg_.enable_trace ? &trace_ : nullptr);
+                                             cfg_.enable_trace ? recorder_.get() : nullptr);
 
   for (std::uint32_t c = 0; c < cfg_.workload.num_clients; ++c) {
     client::ClientConfig ccfg;
@@ -142,7 +142,7 @@ void Scenario::build() {
     }
     clients_.push_back(std::make_unique<client::Client>(
         engine_, *net_, *san_, sim::LocalClock(draw_rate(false) * cfg_.client_rate_scale),
-        ccfg, cfg_.enable_trace ? &trace_ : nullptr));
+        ccfg, cfg_.enable_trace ? recorder_.get() : nullptr));
   }
 
   drivers_.resize(clients_.size());
@@ -152,7 +152,7 @@ void Scenario::build() {
   }
 
   if (cfg_.enable_trace) {
-    rec_ = &trace_.recorder();
+    rec_ = recorder_.get();
     rec_->bind_engine(engine_);
     net_->set_recorder(rec_);
     // Time-series probes, snapshotted on the lease-state sampling timer.
@@ -440,7 +440,6 @@ void Scenario::apply_failure(const FailureEvent& ev) {
   const std::size_t ci = ev.client_idx;
   if (ci >= clients_.size()) return;
   const NodeId node = client_node(ci);
-  trace_.record(engine_.now(), node, "failure", to_string(ev.kind));
 
   switch (ev.kind) {
     case FailureKind::kCtrlIsolate:

@@ -55,15 +55,12 @@ struct PartitionStory {
     });
     sc.run_until_s(40.0);
 
-    for (const auto& e : sc.trace().events()) {
-      if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-        steal_at = e.at.seconds();
-      }
-      if (e.category == "lease" && e.node == c0.id() &&
-          e.detail.find("lease expired") != std::string::npos) {
+    sc.recorder().visit_merged([&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kLockSteal) steal_at = e.at.seconds();
+      if (e.kind == obs::EventKind::kLeaseExpire && e.node == c0.id()) {
         client_expired_at = e.at.seconds();
       }
-    }
+    });
   }
 };
 
@@ -111,6 +108,45 @@ TEST(LeaseProtocol, VictimIsFencedAtSteal) {
       s.sc.client_node(0), DiskId{1}, storage::IoOp::kWrite, 0, 1,
       Bytes(s.sc.config().block_size, 0xEE)});
   EXPECT_EQ(res.status.error(), ErrorCode::kFenced);
+}
+
+// The steal event marks the steal itself: in lease+fence mode it follows
+// the fence round, on the instant the victim's locks change hands.
+TEST(LeaseProtocol, LockStealRecordedAfterFenceAtTheSteal) {
+  PartitionStory s;
+  const NodeId victim = s.sc.client_node(0);
+  std::int64_t fence_ns = -1, stolen_ns = -1, steal_ns = -1;
+  std::uint64_t steals = 0, locks = 0;
+  s.sc.recorder().visit_merged([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kFence && e.node == victim) fence_ns = e.at.ns;
+    if (e.kind == obs::EventKind::kLockStolen && e.node == victim) stolen_ns = e.at.ns;
+    if (e.kind == obs::EventKind::kLockSteal) {
+      ++steals;
+      EXPECT_EQ(e.node, s.sc.server_node());
+      EXPECT_EQ(e.a, victim.value());
+      steal_ns = e.at.ns;
+      locks = e.b;
+    }
+  });
+  ASSERT_EQ(steals, 1u);
+  ASSERT_GT(fence_ns, 0);
+  EXPECT_GT(steal_ns, fence_ns);
+  EXPECT_EQ(steal_ns, stolen_ns);
+  EXPECT_EQ(locks, 1u);
+}
+
+TEST(LeaseProtocol, LockStealRecordedInFenceOnlyMode) {
+  auto cfg = base_cfg();
+  cfg.recovery = server::RecoveryMode::kFenceOnly;
+  PartitionStory s(cfg);
+  const NodeId victim = s.sc.client_node(0);
+  std::int64_t stolen_ns = -1, steal_ns = -1;
+  s.sc.recorder().visit_merged([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockStolen && e.node == victim) stolen_ns = e.at.ns;
+    if (e.kind == obs::EventKind::kLockSteal && e.a == victim.value()) steal_ns = e.at.ns;
+  });
+  ASSERT_GT(steal_ns, 0);
+  EXPECT_EQ(steal_ns, stolen_ns);
 }
 
 TEST(LeaseProtocol, HealedVictimReregistersUnderFreshEpochAndIsUnfenced) {
@@ -225,12 +261,11 @@ TEST(LeaseProtocol, EarlyReregisterShortensRecovery) {
     sc.run_until_s(30.0);
     EXPECT_EQ(verify::ConsistencyChecker(sc.history()).check_all().size(), 0u);
     double registered_at = -1;
-    for (const auto& e : sc.trace().events()) {
-      if (e.node == sc.server_node() && e.category == "session" &&
-          e.detail.find("client 100 registered epoch 2") != std::string::npos) {
+    sc.recorder().visit_merged([&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kRegister && e.node == c0.id() && e.a == 2) {
         registered_at = e.at.seconds();
       }
-    }
+    });
     return registered_at;
   };
 

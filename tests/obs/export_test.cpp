@@ -71,19 +71,23 @@ TEST(ChromeTrace, FoldsPhaseEventsIntoSlices) {
   EXPECT_NE(json.find(R"("name":"req-send")"), std::string::npos);
 }
 
-TEST(ChromeTrace, EmitsAnnotationsAndCounters) {
+TEST(ChromeTrace, EmitsInstantsAndCounters) {
   Recorder rec;
   rec.record(sim::SimTime{500}, NodeId{3}, EventKind::kRegister, 1);
-  rec.annotate(sim::SimTime{1000}, NodeId{3}, "lease", "phase 3: \"quiesced\"\n");
   rec.sample("held_files", 0.5, 4.0);
+  rec.sample("watchdog/\"odd\"\nname", 0.75, 9.0);
 
   std::ostringstream os;
   obs::write_chrome_trace(rec, os);
   const std::string json = os.str();
 
   EXPECT_TRUE(balanced_json(json)) << json;
-  // Annotation with escaped quote and newline.
-  EXPECT_NE(json.find(R"(phase 3: \"quiesced\"\n)"), std::string::npos);
+  // The typed instant, with its decoded payload.
+  EXPECT_NE(json.find(R"("name":"register","cat":"event","ph":"i","ts":0.5)"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"("detail":"epoch=1")"), std::string::npos);
+  // A series name with an escaped quote and newline.
+  EXPECT_NE(json.find(R"(watchdog/\"odd\"\nname)"), std::string::npos);
   // Counter track under the synthetic metrics process.
   EXPECT_NE(json.find(R"("name":"metrics")"), std::string::npos);
   EXPECT_NE(json.find(R"("ph":"C")"), std::string::npos);
@@ -101,7 +105,7 @@ TEST(Timeline, RendersMergedAndFiltered) {
   EXPECT_NE(all.str().find("req-recv"), std::string::npos);
 
   std::ostringstream one;
-  obs::write_timeline(rec, one, /*filter_node=*/true, NodeId{2});
+  obs::write_timeline(rec, one, [](const Event& e) { return e.node == NodeId{2}; });
   EXPECT_EQ(one.str().find("req-send"), std::string::npos);
   EXPECT_NE(one.str().find("req-recv"), std::string::npos);
 }
@@ -123,8 +127,8 @@ TEST(DetailString, DecodesPayloadsPerKind) {
 }
 
 // The acceptance scenario: a Figure-4 ride-down (isolated client walks
-// active -> renewal -> suspect -> flush -> expired). The typed recorder, the
-// legacy TraceLog strings, and the Perfetto export must tell the SAME story.
+// active -> renewal -> suspect -> flush -> expired). The typed recorder and
+// the Perfetto export must tell the SAME story.
 class Fig4Export : public ::testing::Test {
  protected:
   static workload::Scenario& scenario() {
@@ -147,7 +151,7 @@ class Fig4Export : public ::testing::Test {
   }
 };
 
-TEST_F(Fig4Export, TypedPhaseEventsMatchTraceLogOrdering) {
+TEST_F(Fig4Export, TypedPhaseEventsRideDownInOrder) {
   auto& sc = scenario();
   const NodeId victim = sc.client_node(0);
 
@@ -173,17 +177,13 @@ TEST_F(Fig4Export, TypedPhaseEventsMatchTraceLogOrdering) {
   EXPECT_LT(suspect->first, flush->first);
   EXPECT_LT(flush->first, expired->first);
 
-  // String story: the legacy TraceLog annotations the integration tests
-  // assert on. Each marker must carry the SAME timestamp as its typed twin.
-  const auto* quiesced = sc.trace().find("lease", "quiesced");
-  const auto* flushing = sc.trace().find("lease", "flushing dirty data");
-  const auto* lapse = sc.trace().find("lease", "lease expired");
-  ASSERT_NE(quiesced, nullptr);
-  ASSERT_NE(flushing, nullptr);
-  ASSERT_NE(lapse, nullptr);
-  EXPECT_EQ(quiesced->at.ns, suspect->first);
-  EXPECT_EQ(flushing->at.ns, flush->first);
-  EXPECT_EQ(lapse->at.ns, expired->first);
+  // The expiry marker the Theorem 3.1 readers use sits on the same instant
+  // as the phase transition into expired.
+  std::int64_t lapse_ns = -1;
+  sc.recorder().visit_node(victim, [&](const Event& e) {
+    if (e.kind == EventKind::kLeaseExpire && lapse_ns < 0) lapse_ns = e.at.ns;
+  });
+  EXPECT_EQ(lapse_ns, expired->first);
 }
 
 TEST_F(Fig4Export, ChromeExportCarriesTheRideDown) {

@@ -120,7 +120,6 @@ TEST(Recorder, SaveLoadRoundTripsEverything) {
                static_cast<std::uint64_t>(i));
   }
   rec.record(sim::SimTime{3}, NodeId{7}, EventKind::kLeasePhase, 1, 2);
-  rec.annotate(sim::SimTime{4}, NodeId{1}, "lease", "phase 3: quiesced");
   rec.sample("held_files", 0.25, 3.0);
   rec.span(SpanKind::kRequestRtt, 1.5);
   rec.span(SpanKind::kRequestRtt, 2.5);
@@ -142,8 +141,6 @@ TEST(Recorder, SaveLoadRoundTripsEverything) {
     EXPECT_EQ(got[i].kind, orig[i].kind);
   }
 
-  ASSERT_EQ(back.annotations().size(), 1u);
-  EXPECT_EQ(back.annotations()[0].detail, "phase 3: quiesced");
   ASSERT_EQ(back.series().size(), 1u);
   EXPECT_DOUBLE_EQ(back.series()[0].points[0].value, 3.0);
   EXPECT_EQ(back.span_hist(SpanKind::kRequestRtt).count(), 2u);
@@ -233,12 +230,10 @@ TEST(Recorder, AbsorbSeriesFromMergesTimeSorted) {
 TEST(Recorder, ClearEmptiesEverything) {
   Recorder rec;
   rec.record(sim::SimTime{1}, NodeId{1}, EventKind::kReqSend);
-  rec.annotate(sim::SimTime{1}, NodeId{1}, "a", "b");
   rec.span(SpanKind::kRequestRtt, 1.0);
   rec.sample("x", 0.0, 1.0);
   rec.clear();
   EXPECT_EQ(rec.total_events(), 0u);
-  EXPECT_TRUE(rec.annotations().empty());
   EXPECT_TRUE(rec.series().empty());
   EXPECT_EQ(rec.span_hist(SpanKind::kRequestRtt).count(), 0u);
 }

@@ -1,12 +1,14 @@
 // obs::Watchdog: edge-triggered trip/clear recording, typed event payloads
-// (probe index + bit_cast'd value), rate-probe priming, and the guarantee
-// that a healthy probe records nothing at all.
+// (probe index + bit_cast'd value), the trip's point on the probe's named
+// series, rate-probe priming, and the guarantee that a healthy probe records
+// nothing at all.
 #include "obs/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -33,6 +35,7 @@ TEST(Watchdog, HealthyProbeRecordsNothing) {
   for (int i = 0; i < 20; ++i) wd.evaluate(sim::SimTime{i * 1'000'000});
   EXPECT_EQ(wd.trips(), 0u);
   EXPECT_TRUE(watchdog_events(rec).empty());
+  EXPECT_TRUE(rec.series().empty());
 }
 
 TEST(Watchdog, EdgeTriggeredTripAndClear) {
@@ -59,6 +62,18 @@ TEST(Watchdog, EdgeTriggeredTripAndClear) {
   EXPECT_DOUBLE_EQ(std::bit_cast<double>(evs[0].b), 42.0);
   EXPECT_EQ(evs[1].kind, EventKind::kWatchdogClear);
   EXPECT_EQ(evs[1].a, id);
+
+  // The trip (and only the trip) is a point on the probe's named series,
+  // so the name survives save/load.
+  std::stringstream buf;
+  rec.save(buf);
+  Recorder back;
+  ASSERT_TRUE(back.load(buf));
+  ASSERT_EQ(back.series().size(), 1u);
+  EXPECT_EQ(back.series()[0].name, "watchdog/band");
+  ASSERT_EQ(back.series()[0].points.size(), 1u);
+  EXPECT_DOUBLE_EQ(back.series()[0].points[0].t_s, sim::SimTime{2}.seconds());
+  EXPECT_DOUBLE_EQ(back.series()[0].points[0].value, 42.0);
 }
 
 TEST(Watchdog, BoundsAreInclusive) {

@@ -53,15 +53,12 @@ TEST_P(TheoremSweep, StealNeverPrecedesClientExpiry) {
   sc.run_until_s(30.0);
 
   double steal_at = -1, expired_at = -1, flush_at = -1;
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-      steal_at = e.at.seconds();
-    }
-    if (e.category == "lease" && e.node == c0.id() &&
-        e.detail.find("lease expired") != std::string::npos) {
+  sc.recorder().visit_merged([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockSteal) steal_at = e.at.seconds();
+    if (e.kind == obs::EventKind::kLeaseExpire && e.node == c0.id()) {
       expired_at = e.at.seconds();
     }
-  }
+  });
   for (const auto& w : sc.history().disk_writes()) {
     if (w.initiator == c0.id()) {
       flush_at = w.at.seconds();

@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "rt/parallel.hpp"
 #include "sim/rng.hpp"
 #include "workload/scenario.hpp"
@@ -251,9 +252,9 @@ EpisodeResult run_episode(const workload::ScenarioConfig& cfg, std::ostream* tra
     }
   }
   if (trace_to != nullptr) {
-    sc.trace().print(*trace_to);
-    // Raw history: lets a developer line the trace up against what the disk
-    // and caches actually saw.
+    obs::write_timeline(sc.recorder(), *trace_to);
+    // Raw history: lets a developer line the timeline up against what the
+    // disk and caches actually saw.
     for (const auto& w : sc.history().buffered_writes()) {
       *trace_to << w.at.seconds() << "s  n" << w.client.value() << "  [buffered] f"
                 << w.stamp.file.value() << ":b" << w.stamp.block << " v" << w.stamp.version
@@ -481,7 +482,11 @@ int usage() {
   std::fprintf(stderr,
                "usage: fuzz_safety [--episodes N] [--seed S] [--out FILE]\n"
                "                   [--byzantine] [--negative-control] [--quick] [--jobs N]\n"
-               "       fuzz_safety --replay FILE [--trace]\n");
+               "       fuzz_safety --replay FILE [--trace]\n"
+               "\n"
+               "--trace re-runs the replay with the flight recorder armed, prints its typed\n"
+               "event timeline followed by the buffered and disk writes, and saves the\n"
+               "binary trace to FILE.trace (render it with tools/trace_dump).\n");
   return 2;
 }
 

@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
   } else if (mode == "--node") {
     if (argc < 4) return usage(argv[0]);
     const auto id = static_cast<std::uint32_t>(std::strtoul(argv[3], nullptr, 10));
-    obs::write_timeline(rec, std::cout, /*filter_node=*/true, NodeId{id});
+    obs::write_timeline(rec, std::cout,
+                        [id](const obs::Event& e) { return e.node.value() == id; });
   } else if (mode == "--spans") {
     print_spans(rec);
   } else if (mode == "--series") {
