@@ -156,11 +156,6 @@ int main() {
     auto r = sc.run();
     const obs::Recorder& rec = sc.recorder();
     reporter.latency("op_latency_ms", r.op_latency_ms);
-    // Split tracks: the combined p99 above is dominated by ops that rode
-    // through the phase-3/4 disruption; the steady track is the protocol's
-    // actual no-failure latency.
-    reporter.latency("op_latency_steady_ms", r.op_latency_steady_ms);
-    reporter.latency("op_latency_recovery_ms", r.op_latency_recovery_ms);
     reporter.latency("request_rtt_ms", rec.span_hist(obs::SpanKind::kRequestRtt));
     reporter.latency("phase_active_ms", rec.span_hist(obs::SpanKind::kPhaseActive));
     reporter.latency("phase_renewal_ms", rec.span_hist(obs::SpanKind::kPhaseRenewal));

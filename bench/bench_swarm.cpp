@@ -1,23 +1,28 @@
 // bench_swarm — simulator scaling curves for one-server swarms and for the
-// sharded parallel engine.
+// sharded parallel engine, both run as workload::Scenario configs with the
+// kLockCycle pattern.
 //
-// Part 1 (serial): client count N = 100 … 50,000 on a single Engine. Each
-// swarm member registers with the one server, opens a Zipf-chosen file from a
-// weak-scaled pool (512 files up to N=51k, N/100 beyond), and then loops:
-// acquire a data lock (mostly shared, occasionally exclusive), release it,
-// sleep an exponential gap. A short tau
-// keeps a renewal storm running underneath the lock traffic. This is the mix
-// the paper's deployment sizing question asks about: how much simulator (and
-// per-client protocol) capacity does one server's swarm cost as N grows?
+// Part 1 (serial): client count N = 100 … 50,000 with one server on one
+// shard. Each swarm member registers with the server, opens a Zipf-chosen
+// file from a weak-scaled pool (512 files up to N=51k, N/100 beyond), and
+// then loops: acquire a data lock (mostly shared, occasionally exclusive),
+// release it, sleep an exponential gap. A short tau keeps a renewal storm
+// running underneath the lock traffic. This is the mix the paper's
+// deployment sizing question asks about: how much simulator (and per-client
+// protocol) capacity does one server's swarm cost as N grows?
 //
-// Part 2 (sharded): the same workload at N up to 1,000,000 on a ShardedEngine
-// with K ∈ {1, 2, 4, 8} shards. K servers (server j on shard j); client i
-// talks to server i mod K and lives on shard (2i+1) mod K, so roughly 1/K of
-// the traffic is shard-local and the rest crosses shards through the mailbox
-// exchange. The events/s-vs-K column is the scaling curve; the run digest
-// (FNV over per-member op counts, net counters, and event totals) pins the
-// determinism contract — a fixed (seed, K) must print the same digest at any
-// worker-thread count, on every run.
+// Part 2 (sharded): the same workload at N up to 1,000,000 on K ∈ {1, 2, 4,
+// 8} shards. K servers (server j on shard j); client i talks to server
+// i mod K and lives on shard (i + i/K) mod K, so every shard hosts N/K
+// clients, roughly 1/K of the traffic is shard-local and the rest crosses
+// shards through the mailbox exchange. The events/s-vs-K column is the
+// scaling curve; the run digest (FNV over per-member op counts, net
+// counters, and event totals) pins the determinism contract — a fixed
+// (seed, K) must print the same digest at any worker-thread count, on every
+// run.
+//
+// After every measured window the bench checks the lock manager's
+// invariants on every server and exits 1 if one fails.
 //
 // Environment knobs (all strictly validated; a malformed value aborts with
 // exit code 2 rather than silently running the wrong sweep):
@@ -29,36 +34,25 @@
 //                         watchdog (the overhead-gate A/B switch; default on).
 //                         Arming MUST NOT change the digest — counters add no
 //                         engine events and draw no randomness.
+#include <algorithm>
 #include <chrono>
 #include <cctype>
-#include <cmath>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "client/client.hpp"
 #include "common/table.hpp"
-#include "net/control_net.hpp"
-#include "net/sharded_net.hpp"
 #include "obs/counters.hpp"
-#include "obs/recorder.hpp"
-#include "obs/watchdog.hpp"
-#include "server/server.hpp"
-#include "sim/engine.hpp"
-#include "sim/rng.hpp"
-#include "sim/sharded_engine.hpp"
-#include "storage/san.hpp"
+#include "workload/scenario.hpp"
 
 using namespace stank;
 
 namespace {
 
-constexpr std::uint32_t kServerNode = 1;
-constexpr std::uint32_t kClientBase = 100;
 constexpr std::size_t kFilePool = 512;
 
 // The pool weak-scales with the swarm so per-file contention stays bounded
@@ -69,8 +63,6 @@ constexpr std::size_t kFilePool = 512;
 std::size_t pool_for(std::uint32_t n) {
   return std::max<std::size_t>(kFilePool, n / 100);
 }
-constexpr double kMeanGapS = 2.0;
-constexpr double kExclusiveProb = 0.05;
 constexpr double kWarmS = 3.0;     // registration + opens finish well before this
 constexpr double kMeasureS = 8.0;  // measured steady window
 
@@ -130,191 +122,37 @@ std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared workload configuration.
+// The swarm installation as a Scenario config.
 
-core::LeaseConfig swarm_lease() {
-  core::LeaseConfig lease;
-  lease.tau = sim::local_seconds(2);  // renewal storm under the lock traffic
-  return lease;
-}
-
-protocol::TransportConfig swarm_transport() {
-  protocol::TransportConfig transport;
+workload::ScenarioConfig swarm_config(std::uint32_t n, std::uint32_t k, std::uint32_t threads,
+                                      bool telemetry) {
+  workload::ScenarioConfig cfg;
+  workload::WorkloadSpec& w = cfg.workload;
+  w.pattern = workload::Pattern::kLockCycle;
+  w.num_clients = n;
+  w.num_files = static_cast<std::uint32_t>(pool_for(n));
+  w.file_blocks = 1;
+  w.zipf_s = 0.9;
+  w.read_fraction = 0.95;        // 5% exclusive locks
+  w.mean_interarrival_s = 2.0;   // think time between cycles
+  w.run_seconds = kWarmS + kMeasureS;
+  // Same seed for every K so the workload (per-member gaps, Zipf choices) is
+  // identical across the curve; only the partitioning changes.
+  w.seed = 0x5Aa3F00Du ^ n;
+  cfg.lease.tau = sim::local_seconds(2);  // renewal storm under the lock traffic
   // 8 in-flight-window entries per session keeps the million-client server's
   // reply-cache footprint bounded (the default 128 would cost gigabytes).
-  transport.reply_cache_size = 8;
-  return transport;
+  cfg.transport.reply_cache_size = 8;
+  cfg.block_size = 4096;
+  cfg.disk_blocks = pool_for(n) * 16;
+  cfg.clock_skew_mode = +2;  // ideal clocks
+  cfg.engine.shards = k;
+  cfg.engine.threads = threads;
+  cfg.shard_telemetry = telemetry;
+  return cfg;
 }
-
-void preallocate_pool(server::Server& server, std::size_t pool) {
-  // Preallocate the shared pool server-side so every member opens with
-  // create=false and the open ramp carries no metadata churn.
-  for (std::size_t f = 0; f < pool; ++f) {
-    char path[24];
-    std::snprintf(path, sizeof(path), "f%zu", f);
-    auto res = server.preallocate(path, 4096);
-    if (!res.ok()) {
-      std::fprintf(stderr, "swarm: preallocate(%s) failed\n", path);
-      std::exit(1);
-    }
-  }
-}
-
-struct Member {
-  std::unique_ptr<client::Client> cl;
-  client::Fd fd{0};
-  sim::Rng rng{0};
-  bool ready{false};
-  std::uint64_t ops_ok{0};
-  std::uint64_t ops_failed{0};
-  // Engine shard the member lives on (always shard 0 in the serial bench);
-  // its op-loop timers must be scheduled there and nowhere else.
-  unsigned shard{0};
-};
-
-// The open → lock/release → sleep loop, parameterized over the engine the
-// member's timers live on so the serial and sharded benches share it.
-template <typename GetEngine>
-struct OpLoop {
-  std::vector<Member>& members;
-  GetEngine engine_of;          // unsigned shard -> sim::Engine&
-  const sim::ZipfTable* zipf;   // shared file-pool CDF (one table, not one per member)
-
-  void open_file(std::size_t idx) {
-    Member& m = members[idx];
-    char path[24];
-    std::snprintf(path, sizeof(path), "f%zu", zipf->pick(m.rng.uniform()));
-    m.cl->open(path, /*create=*/false, [this, idx](Result<client::Fd> res) {
-      Member& m2 = members[idx];
-      if (!res.ok()) {
-        ++m2.ops_failed;
-        // Pool not visible yet (or a transient NACK): retry shortly.
-        engine_of(m2.shard).schedule_after(sim::millis(200), [this, idx]() { open_file(idx); });
-        return;
-      }
-      m2.fd = res.value();
-      // on_registered re-fires after a lease expiry + re-registration; refresh
-      // the fd but never spawn a second op loop.
-      if (!m2.ready) {
-        m2.ready = true;
-        schedule_next(idx);
-      }
-    });
-  }
-
-  void schedule_next(std::size_t idx) {
-    Member& m = members[idx];
-    const double gap = m.rng.exponential(kMeanGapS);
-    engine_of(m.shard).schedule_after(sim::seconds_d(gap), [this, idx]() { op(idx); });
-  }
-
-  void op(std::size_t idx) {
-    Member& m = members[idx];
-    const auto mode = m.rng.uniform() < kExclusiveProb ? protocol::LockMode::kExclusive
-                                                       : protocol::LockMode::kShared;
-    m.cl->lock(m.fd, mode, [this, idx](Status st) {
-      Member& m2 = members[idx];
-      if (!st.is_ok()) {
-        ++m2.ops_failed;
-        schedule_next(idx);
-        return;
-      }
-      m2.cl->release(m2.fd, protocol::LockMode::kNone, [this, idx](Status st2) {
-        Member& m3 = members[idx];
-        if (st2.is_ok()) {
-          ++m3.ops_ok;
-        } else {
-          ++m3.ops_failed;
-        }
-        schedule_next(idx);
-      });
-    });
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Part 1: serial sweep (unchanged workload, one Engine, one server).
 
 struct SwarmPoint {
-  std::uint32_t n;
-  double wall_s;
-  std::uint64_t sim_events;
-  double events_per_sec;
-  double bytes_per_client;
-  std::uint64_t ops_ok;
-  std::uint64_t ops_failed;
-};
-
-SwarmPoint run_swarm(std::uint32_t n) {
-  sim::Engine engine;
-  sim::Rng root(0x5Aa3F00Du ^ n);
-  auto fabric = std::make_unique<net::ControlNet>(engine, root.fork(1));
-  auto san = std::make_unique<storage::SanFabric>(engine, root.fork(2));
-  const DiskId disk{1};
-  const std::size_t pool = pool_for(n);
-  san->add_disk(disk, /*blocks=*/pool * 16, /*block_size=*/4096);
-
-  server::ServerConfig scfg;
-  scfg.id = NodeId{kServerNode};
-  scfg.lease = swarm_lease();
-  scfg.transport = swarm_transport();
-  scfg.block_size = 4096;
-  scfg.data_disks = {disk};
-  auto server =
-      std::make_unique<server::Server>(engine, *fabric, *san, sim::LocalClock(1.0), scfg);
-  preallocate_pool(*server, pool);
-  server->start();
-
-  std::vector<Member> members(n);
-  const sim::ZipfTable zipf(pool, 0.9);
-  auto loop = OpLoop{members, [&engine](unsigned) -> sim::Engine& { return engine; }, &zipf};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    client::ClientConfig ccfg;
-    ccfg.id = NodeId{kClientBase + i};
-    ccfg.server = NodeId{kServerNode};
-    ccfg.lease = swarm_lease();
-    ccfg.transport = swarm_transport();
-    ccfg.block_size = 4096;
-    Member& m = members[i];
-    m.rng = root.fork(1000 + i);
-    m.cl = std::make_unique<client::Client>(engine, *fabric, *san, sim::LocalClock(1.0), ccfg);
-    // Stagger registration across the first second so the server sees a ramp,
-    // not one synchronized thundering herd.
-    const double start_at = 0.001 + 0.999 * m.rng.uniform();
-    // Open the member's file as soon as its registration completes; the op
-    // loop starts from open_file's success callback.
-    m.cl->on_registered = [&loop, i]() { loop.open_file(i); };
-    engine.schedule_after(sim::seconds_d(start_at), [&members, i]() { members[i].cl->start(); });
-  }
-
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS));
-
-  const std::uint64_t events0 = engine.events_executed();
-  const std::uint64_t bytes0 = fabric->stats().bytes;
-  const auto wall0 = std::chrono::steady_clock::now();
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS + kMeasureS));
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-
-  SwarmPoint p;
-  p.n = n;
-  p.wall_s = wall;
-  p.sim_events = engine.events_executed() - events0;
-  p.events_per_sec = wall > 0 ? static_cast<double>(p.sim_events) / wall : 0.0;
-  p.bytes_per_client = static_cast<double>(fabric->stats().bytes - bytes0) / n;
-  p.ops_ok = 0;
-  p.ops_failed = 0;
-  for (const Member& m : members) {
-    p.ops_ok += m.ops_ok;
-    p.ops_failed += m.ops_failed;
-  }
-  return p;
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: sharded sweep.
-
-struct ShardedPoint {
   std::uint32_t n;
   std::uint32_t k;
   std::uint32_t threads;
@@ -340,163 +178,78 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 1099511628211ull;
 }
 
-ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads,
-                               bool telemetry) {
-  sim::ShardedEngine::Config ecfg;
-  ecfg.shards = k;
-  ecfg.threads = threads;
-  sim::ShardedEngine engine(ecfg);
-  // Same seed for every K so the workload (per-member gaps, Zipf choices) is
-  // identical across the curve; only the partitioning changes.
-  sim::Rng root(0x5Aa3F00Du ^ n);
-  auto fabric = std::make_unique<net::ShardedNet>(engine, root);
+SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bool telemetry) {
+  workload::Scenario sc(swarm_config(n, k, threads, telemetry));
+  sc.setup();
+  sc.run_generators();
+  sc.run_until_s(kWarmS);
 
-  // Shard-aware telemetry: the engine and fabric register their counters,
-  // the registry freezes into per-shard banks, and the watchdog rides the
-  // engine's barrier snapshot hook (worker 0, everyone else parked) so
-  // arming adds zero engine events — the digest column proves it.
-  obs::Counters ctr;
-  obs::Recorder wd_rec;
-  std::unique_ptr<obs::Watchdog> watchdog;
-  if (telemetry) {
-    sim::ShardedEngine::Telemetry tel;
-    tel.counters = &ctr;
-    // ~20ms of sim time between snapshots at the 10us window default.
-    tel.snapshot_every_windows = 2048;
-    watchdog = std::make_unique<obs::Watchdog>(wd_rec);
-    obs::Watchdog* wd = watchdog.get();
-    tel.on_snapshot = [wd](sim::SimTime at) { wd->evaluate(at); };
-    engine.set_telemetry(std::move(tel));
-    fabric->set_counters(&ctr);
-    ctr.freeze(k);
-    // Probes read merged counters: legal between the snapshot barriers
-    // (every producer is parked) and after the run.
-    const obs::Counters::Id id_hw = ctr.find("net.mailbox_hw");
-    const obs::Counters::Id id_imb = ctr.find("engine.imbalance_permille");
-    // A mailbox a million datagrams deep means a consumer shard stopped
-    // draining — that is a hang signature, not load.
-    watchdog->add_probe(
-        "mailbox_hw",
-        [&ctr, id_hw]() { return static_cast<double>(ctr.merged(id_hw)); }, 0.0,
-        1 << 20);
-    // 8x mean on one shard means the placement scheme collapsed.
-    watchdog->add_probe(
-        "imbalance_permille",
-        [&ctr, id_imb]() { return static_cast<double>(ctr.merged(id_imb)); }, 0.0,
-        8000.0);
-  }
-  // Burn the stream ShardedNet consumed from its copy of root, so the SAN
-  // forks below line up with the serial bench's (fork(2), fork(1000+i), …).
-  (void)root.fork(1);
-
-  // One SAN fabric and one server per shard; server j owns shard j.
-  std::vector<std::unique_ptr<storage::SanFabric>> sans;
-  std::vector<std::unique_ptr<server::Server>> servers;
-  const DiskId disk{1};
-  const std::size_t pool = pool_for(n);
-  for (std::uint32_t j = 0; j < k; ++j) {
-    sans.push_back(std::make_unique<storage::SanFabric>(engine.shard(j), root.fork(2 + j)));
-    sans.back()->add_disk(disk, /*blocks=*/pool * 16, /*block_size=*/4096);
-    fabric->place(NodeId{kServerNode + j}, j);
-  }
-  for (std::uint32_t j = 0; j < k; ++j) {
-    server::ServerConfig scfg;
-    scfg.id = NodeId{kServerNode + j};
-    scfg.lease = swarm_lease();
-    scfg.transport = swarm_transport();
-    scfg.block_size = 4096;
-    scfg.data_disks = {disk};
-    servers.push_back(std::make_unique<server::Server>(
-        engine.shard(j), fabric->shard(j), *sans[j], sim::LocalClock(1.0), scfg));
-    preallocate_pool(*servers.back(), pool);
-    servers.back()->start();
-  }
-
-  // Client i registers with server i mod K but lives on shard (2i+1) mod K:
-  // about 1/K of the members are co-located with their server, the rest
-  // exercise the cross-shard mailbox path in both directions.
-  std::vector<Member> members(n);
-  const sim::ZipfTable zipf(pool, 0.9);
-  auto loop =
-      OpLoop{members, [&engine](unsigned shard) -> sim::Engine& { return engine.shard(shard); },
-             &zipf};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t server_of = i % k;
-    const unsigned shard = (2 * i + 1) % k;
-    fabric->place(NodeId{kClientBase + i}, shard);
-    client::ClientConfig ccfg;
-    ccfg.id = NodeId{kClientBase + i};
-    ccfg.server = NodeId{kServerNode + server_of};
-    ccfg.lease = swarm_lease();
-    ccfg.transport = swarm_transport();
-    ccfg.block_size = 4096;
-    Member& m = members[i];
-    m.shard = shard;
-    m.rng = root.fork(1000 + i);
-    m.cl = std::make_unique<client::Client>(engine.shard(shard), fabric->shard(shard),
-                                            *sans[shard], sim::LocalClock(1.0), ccfg);
-    const double start_at = 0.001 + 0.999 * m.rng.uniform();
-    m.cl->on_registered = [&loop, i]() { loop.open_file(i); };
-    engine.shard(shard).schedule_after(sim::seconds_d(start_at),
-                                       [&members, i]() { members[i].cl->start(); });
-  }
-
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS));
-
+  sim::ShardedEngine& engine = sc.sharded_engine();
   const std::uint64_t events0 = engine.events_executed();
-  const std::uint64_t bytes0 = fabric->stats().bytes;
+  const std::uint64_t bytes0 = sc.sharded_net().stats().bytes;
   const auto wall0 = std::chrono::steady_clock::now();
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS + kMeasureS));
+  sc.run_until_s(kWarmS + kMeasureS);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
 
-  ShardedPoint p;
+  for (std::size_t j = 0; j < sc.num_servers(); ++j) {
+    if (!sc.server(j).locks().invariants_hold()) {
+      std::fprintf(stderr, "bench_swarm: lock manager invariants broken on server %zu (N=%u, K=%u)\n",
+                   j, n, k);
+      std::exit(1);
+    }
+  }
+
+  SwarmPoint p;
   p.n = n;
   p.k = k;
   p.threads = threads;
   p.wall_s = wall;
   p.sim_events = engine.events_executed() - events0;
   p.events_per_sec = wall > 0 ? static_cast<double>(p.sim_events) / wall : 0.0;
-  p.bytes_per_client = static_cast<double>(fabric->stats().bytes - bytes0) / n;
+  const net::NetStats st = sc.sharded_net().stats();
+  p.bytes_per_client = static_cast<double>(st.bytes - bytes0) / n;
   p.ops_ok = 0;
   p.ops_failed = 0;
   // The digest folds in every member's op counts in index order plus the
   // aggregate network counters: any nondeterminism in event order anywhere in
   // the run shows up here as a different hex string.
   std::uint64_t digest = 14695981039346656037ull;
-  for (const Member& m : members) {
-    p.ops_ok += m.ops_ok;
-    p.ops_failed += m.ops_failed;
-    digest = fnv_mix(digest, m.ops_ok);
-    digest = fnv_mix(digest, m.ops_failed);
+  for (std::size_t i = 0; i < sc.num_clients(); ++i) {
+    const workload::ClientOps& ops = sc.client_ops(i);
+    const std::uint64_t ok = ops.reads_ok + ops.writes_ok;
+    p.ops_ok += ok;
+    p.ops_failed += ops.failed;
+    digest = fnv_mix(digest, ok);
+    digest = fnv_mix(digest, ops.failed);
   }
-  const net::NetStats st = fabric->stats();
   digest = fnv_mix(digest, st.sent);
   digest = fnv_mix(digest, st.delivered);
   digest = fnv_mix(digest, st.bytes);
   digest = fnv_mix(digest, engine.events_executed());
   p.digest = digest;
 
-  if (telemetry) {
+  // K = 1 takes no barrier snapshots: its telemetry columns stay blank.
+  if (const obs::Counters* ctr = sc.shard_counters(); ctr != nullptr && k > 1) {
     p.telemetry = true;
-    const obs::Counters::Id id_events = ctr.find("engine.events");
-    const obs::Counters::Id id_windows = ctr.find("engine.windows");
-    const obs::Counters::HistId id_bwait = ctr.find_hist("barrier.wait_ns");
-    const std::uint64_t windows = ctr.merged(id_windows);
+    const obs::Counters::Id id_events = ctr->find("engine.events");
+    const obs::Counters::Id id_windows = ctr->find("engine.windows");
+    const obs::Counters::HistId id_bwait = ctr->find_hist("barrier.wait_ns");
+    const std::uint64_t windows = ctr->merged(id_windows);
     p.shard_events_per_window.resize(k, 0.0);
     for (std::uint32_t s = 0; s < k; ++s) {
       p.shard_events_per_window[s] =
-          windows > 0 ? static_cast<double>(ctr.value(s, id_events)) /
+          windows > 0 ? static_cast<double>(ctr->value(s, id_events)) /
                             static_cast<double>(windows)
                       : 0.0;
     }
     p.imbalance_permille =
-        static_cast<double>(ctr.merged(ctr.find("engine.imbalance_permille")));
-    p.mailbox_hw = ctr.merged(ctr.find("net.mailbox_hw"));
-    p.barrier_p50_ns = ctr.hist_quantile(id_bwait, 0.50);
-    p.barrier_p99_ns = ctr.hist_quantile(id_bwait, 0.99);
-    p.idle_windows = ctr.merged(ctr.find("engine.idle_windows"));
-    p.watchdog_trips = watchdog->trips();
+        static_cast<double>(ctr->merged(ctr->find("engine.imbalance_permille")));
+    p.mailbox_hw = ctr->merged(ctr->find("net.mailbox_hw"));
+    p.barrier_p50_ns = ctr->hist_quantile(id_bwait, 0.50);
+    p.barrier_p99_ns = ctr->hist_quantile(id_bwait, 0.99);
+    p.idle_windows = ctr->merged(ctr->find("engine.idle_windows"));
+    p.watchdog_trips = sc.watchdog()->trips();
   }
   return p;
 }
@@ -511,7 +264,7 @@ int main() {
              "ops failed"});
   tbl.title("8 s measured window; tau = 2 s; Zipf(0.9) over pool_for(N) files; 5% exclusive");
   for (std::uint32_t n : env_u32_list("STANK_SWARM_NS", {100, 1000, 10000, 50000})) {
-    const SwarmPoint p = run_swarm(n);
+    const SwarmPoint p = run_swarm(n, 1, 1, /*telemetry=*/false);
     tbl.row()
         .cell(p.n)
         .cell(p.sim_events)
@@ -546,12 +299,12 @@ int main() {
               telemetry ? "counters + watchdog armed" : "dark");
   Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "bytes/client",
               "ops ok", "ops failed", "imb", "mbox hw", "bar p50us", "bar p99us", "digest"});
-  stbl.title("client i -> server i%K, shard (2i+1)%K: ~1/K co-located, rest cross-shard");
+  stbl.title("client i -> server i%K, shard (i+i/K)%K: N/K per shard, ~1/K co-located");
   double base_eps = 0.0;
   std::uint64_t total_trips = 0;
   for (std::uint32_t k : ks) {
     const std::uint32_t threads = threads_override != 0xFFFFFFFFu ? threads_override : k;
-    const ShardedPoint p = run_sharded_swarm(sharded_n, k, threads, telemetry);
+    const SwarmPoint p = run_swarm(sharded_n, k, threads, telemetry);
     if (k == 1) base_eps = p.events_per_sec;
     const double speedup = base_eps > 0 ? p.events_per_sec / base_eps : 0.0;
     char digest_hex[24];
@@ -567,7 +320,7 @@ int main() {
                     .cell(p.bytes_per_client, 0)
                     .cell(p.ops_ok)
                     .cell(p.ops_failed);
-    if (p.telemetry && p.k > 1) {
+    if (p.telemetry) {
       row.cell(p.imbalance_permille / 1000.0, 2)
           .cell(p.mailbox_hw)
           .cell(static_cast<double>(p.barrier_p50_ns) / 1e3, 1)
@@ -582,7 +335,7 @@ int main() {
     reporter.value(key, p.events_per_sec);
     std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_bytes_per_client", p.n, p.k);
     reporter.value(key, p.bytes_per_client);
-    if (p.telemetry && p.k > 1) {
+    if (p.telemetry) {
       // Shard-utilization columns for BENCH_core.json: per-shard events per
       // executed window, plus the health gauges the ROADMAP's multi-core
       // validation item needs to see.

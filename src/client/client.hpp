@@ -130,14 +130,6 @@ class Client {
   [[nodiscard]] BlockCache& cache() { return cache_; }
   [[nodiscard]] const BlockCache& cache() const { return cache_; }
   [[nodiscard]] const core::ClientLeaseAgent* lease_agent() const { return agent_.get(); }
-  // Snapshot of the lease-disruption counter. An op whose issue-time token
-  // still matches at completion never overlapped a suspect/expiry window —
-  // its latency belongs to the steady-state population, not the recovery
-  // tail. Always 0 for strategies without a lease agent (their ops are all
-  // "steady" by definition).
-  [[nodiscard]] std::uint64_t disruption_token() const {
-    return agent_ != nullptr ? agent_->disruptions() : 0;
-  }
   [[nodiscard]] protocol::LockMode lock_mode(Fd fd) const;
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }

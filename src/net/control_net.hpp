@@ -99,6 +99,8 @@ struct NetStats {
   std::uint64_t burst_episodes{0};  // good->bad transitions of the GE chain
   std::uint64_t bytes{0};
 
+  bool operator==(const NetStats&) const = default;
+
   // One-line human summary — what the fabric did to the traffic. Used by the
   // Scenario verdict line and the fuzzer's replay header: a verdict without
   // the loss/dup/reorder counts hides *why* a run went sideways.

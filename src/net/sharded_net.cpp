@@ -16,7 +16,8 @@ ShardedNet::ShardedNet(sim::ShardedEngine& engine, sim::Rng root, NetConfig cfg)
   nets_.reserve(k);
   for (unsigned s = 0; s < k; ++s) {
     nets_.push_back(std::make_unique<ControlNet>(engine.shard(s), root.fork(s + 1), cfg));
-    nets_.back()->bind_shard(this, s);
+    // A lone shard has nowhere to route: leave it a plain ControlNet.
+    if (k > 1) nets_.back()->bind_shard(this, s);
   }
   mail_.resize(static_cast<std::size_t>(k) * k);
   merge_scratch_.resize(k);

@@ -58,12 +58,12 @@ void ShardedEngine::set_telemetry(Telemetry tel) {
 }
 
 void ShardedEngine::run_until(SimTime horizon) {
-  if (horizon <= frontier_) return;
   if (shards_.size() == 1) {
     // Serial fast path: no windows, no barriers — byte-identical to the
-    // pre-sharding engine (the determinism tests pin this).
+    // pre-sharding engine (the determinism tests pin this), down to running
+    // events scheduled exactly at an already-reached horizon.
     shards_[0]->run_until(horizon);
-    frontier_ = horizon;
+    frontier_ = std::max(frontier_, horizon);
     if (tel_.counters != nullptr) {
       const std::uint64_t ex = shards_[0]->events_executed();
       tel_.counters->add_to(0, tel_ids_.events, ex - tel_prev_events_[0]);
@@ -71,6 +71,7 @@ void ShardedEngine::run_until(SimTime horizon) {
     }
     return;
   }
+  if (horizon <= frontier_) return;
   unsigned workers = cfg_.threads != 0 ? cfg_.threads : std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
   workers = std::min<unsigned>(workers, shard_count());

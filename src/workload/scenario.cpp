@@ -21,19 +21,44 @@ std::string file_path(std::size_t i) { return "/data/f" + std::to_string(i); }
 
 }  // namespace
 
-Scenario::Scenario(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.workload.seed) {
+Scenario::Scenario(ScenarioConfig cfg)
+    : cfg_(std::move(cfg)), engine_(cfg_.engine), rng_(cfg_.workload.seed) {
   cfg_.lease.validate();
+  // K > 1 shards the control path only. Each shard has its own SAN fabric
+  // and a client submits to the one on its shard, so data I/O from a client
+  // whose server lives on another shard would reach a disk the server never
+  // allocated on; and failure events edit one shard's reachability. A
+  // sharded SAN is future work, so K > 1 runs the lock-cycle mix, which
+  // does no data I/O, with no failure plan and no byzantine clients.
+  STANK_ASSERT_MSG(shards() == 1 || (cfg_.workload.pattern == Pattern::kLockCycle &&
+                                     cfg_.failures.events.empty() && cfg_.byzantine.empty()),
+                   "K > 1 scenarios run kLockCycle with no failure plan");
+  STANK_ASSERT_MSG(kServerNode + shards() <= kClientBase, "server ids would reach client ids");
   settle_seconds_ = cfg_.workload.settle_seconds > 0.0
                         ? cfg_.workload.settle_seconds
                         : std::max(5.0, 3.0 * cfg_.lease.tau.seconds());
+  for (unsigned sh = 0; sh < shards(); ++sh) {
+    recorders_.push_back(std::make_unique<obs::Recorder>());
+  }
 }
 
 Scenario::~Scenario() = default;
 
-NodeId Scenario::server_node() const { return NodeId{kServerNode}; }
+NodeId Scenario::server_node(std::size_t j) const {
+  return NodeId{static_cast<std::uint32_t>(kServerNode + j)};
+}
 
 NodeId Scenario::client_node(std::size_t i) const {
   return NodeId{static_cast<std::uint32_t>(kClientBase + i)};
+}
+
+unsigned Scenario::client_shard(std::size_t i) const {
+  // Each run of K consecutive clients covers every shard once, so every
+  // shard hosts N/K clients beside its server; client i shares a shard with
+  // its server i mod K only when (i / K) mod K == 0, so ~1/K of the traffic
+  // stays shard-local and the rest crosses the mailbox exchange.
+  const std::size_t k = shards();
+  return static_cast<unsigned>((i + i / k) % k);
 }
 
 client::Fd Scenario::fd(std::size_t client_idx, std::size_t file_idx) const {
@@ -79,16 +104,30 @@ std::string ScenarioResult::verdict_line() const {
 }
 
 void Scenario::build() {
-  net_ = std::make_unique<net::ControlNet>(engine_, rng_.fork(1), cfg_.control_net);
-  san_ = std::make_unique<storage::SanFabric>(engine_, rng_.fork(2), cfg_.san);
-  san_->on_io = [this](const storage::IoRequest& rq, const storage::IoResult& rs,
-                       sim::SimTime t) { history_.on_disk_io(rq, rs, t, cfg_.block_size); };
+  const unsigned k = shards();
+  op_latency_ms_.resize(k);
+  max_lease_bytes_.assign(k, 0);
+
+  // RNG stream layout: net fork(1), SAN j fork(2 + j), driver c
+  // fork(1000 + c). The fabric forks shard s's stream from its own copy of
+  // rng_, so burn fork(1) here to keep the later forks in place.
+  net_ = std::make_unique<net::ShardedNet>(engine_, rng_, cfg_.control_net);
+  (void)rng_.fork(1);
+  if (k > 1) {
+    for (unsigned j = 0; j < k; ++j) net_->place(server_node(j), j);
+    for (std::uint32_t c = 0; c < cfg_.workload.num_clients; ++c) {
+      net_->place(client_node(c), client_shard(c));
+    }
+  }
 
   std::vector<DiskId> disks;
-  for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-    const DiskId id{d + 1};
-    san_->add_disk(id, cfg_.disk_blocks, cfg_.block_size);
-    disks.push_back(id);
+  for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) disks.push_back(DiskId{d + 1});
+  for (unsigned j = 0; j < k; ++j) {
+    auto san = std::make_unique<storage::SanFabric>(engine_.shard(j), rng_.fork(2 + j), cfg_.san);
+    san->on_io = [this](const storage::IoRequest& rq, const storage::IoResult& rs,
+                        sim::SimTime t) { history_.on_disk_io(rq, rs, t, cfg_.block_size); };
+    for (DiskId id : disks) san->add_disk(id, cfg_.disk_blocks, cfg_.block_size);
+    sans_.push_back(std::move(san));
   }
 
   // Clock rates: any two nodes must be mutually rate-synchronized within
@@ -105,26 +144,30 @@ void Scenario::build() {
     }
   };
 
-  server::ServerConfig scfg;
-  scfg.id = server_node();
-  scfg.lease = cfg_.lease;
-  scfg.recovery = cfg_.recovery;
-  scfg.strategy = cfg_.strategy;
-  scfg.transport = cfg_.transport;
-  scfg.block_size = cfg_.block_size;
-  scfg.data_disks = disks;
-  scfg.recovery_grace = cfg_.recovery_grace;
-  if (cfg_.demand_timeout.ns > 0) {
-    scfg.demand_timeout = cfg_.demand_timeout;
+  for (unsigned j = 0; j < k; ++j) {
+    server::ServerConfig scfg;
+    scfg.id = server_node(j);
+    scfg.lease = cfg_.lease;
+    scfg.recovery = cfg_.recovery;
+    scfg.strategy = cfg_.strategy;
+    scfg.transport = cfg_.transport;
+    scfg.block_size = cfg_.block_size;
+    scfg.data_disks = disks;
+    scfg.recovery_grace = cfg_.recovery_grace;
+    if (cfg_.demand_timeout.ns > 0) {
+      scfg.demand_timeout = cfg_.demand_timeout;
+    }
+    servers_.push_back(std::make_unique<server::Server>(engine_.shard(j), net_->shard(j),
+                                                        *sans_[j],
+                                                        sim::LocalClock(draw_rate(true)), scfg,
+                                                        trace_rec(j)));
   }
-  server_ = std::make_unique<server::Server>(engine_, *net_, *san_,
-                                             sim::LocalClock(draw_rate(true)), scfg,
-                                             cfg_.enable_trace ? recorder_.get() : nullptr);
 
   for (std::uint32_t c = 0; c < cfg_.workload.num_clients; ++c) {
+    const unsigned sh = client_shard(c);
     client::ClientConfig ccfg;
     ccfg.id = client_node(c);
-    ccfg.server = server_node();
+    ccfg.server = server_node(c % k);
     ccfg.lease = cfg_.lease;
     if (cfg_.client_tau.ns > 0) {
       // Assumption-violation knob: the client's contract disagrees with the
@@ -141,37 +184,49 @@ void Scenario::build() {
       history_.mark_byzantine(client_node(c));
     }
     clients_.push_back(std::make_unique<client::Client>(
-        engine_, *net_, *san_, sim::LocalClock(draw_rate(false) * cfg_.client_rate_scale),
-        ccfg, cfg_.enable_trace ? recorder_.get() : nullptr));
+        engine_.shard(sh), net_->shard(sh), *sans_[sh],
+        sim::LocalClock(draw_rate(false) * cfg_.client_rate_scale), ccfg, trace_rec(sh)));
   }
 
   drivers_.resize(clients_.size());
   for (std::size_t c = 0; c < clients_.size(); ++c) {
     drivers_[c].index = c;
+    drivers_[c].shard = client_shard(c);
     drivers_[c].rng = rng_.fork(1000 + c);
+  }
+  if (cfg_.workload.pattern == Pattern::kLockCycle) {
+    cycle_zipf_ = std::make_unique<sim::ZipfTable>(cfg_.workload.num_files, cfg_.workload.zipf_s);
   }
 
   if (cfg_.enable_trace) {
-    rec_ = recorder_.get();
-    rec_->bind_engine(engine_);
-    net_->set_recorder(rec_);
+    for (unsigned sh = 0; sh < k; ++sh) {
+      recorders_[sh]->bind_engine(engine_.shard(sh));
+      net_->shard(sh).set_recorder(recorders_[sh].get());
+    }
+  }
+  if (cfg_.enable_trace && k == 1) {
+    // The sampler and the lease-timer watchdog read the whole installation
+    // (every client's phase), which only one shard may do.
+    obs::Recorder* rec = recorders_[0].get();
+    server::Server* srv = servers_[0].get();
+    net::ControlNet* ctrl = &net_->shard(0);
     // Time-series probes, snapshotted on the lease-state sampling timer.
-    sampler_ = std::make_unique<obs::Sampler>(*rec_);
+    sampler_ = std::make_unique<obs::Sampler>(*rec);
     sampler_->add_probe("lease_state_bytes",
-                        [this]() { return static_cast<double>(server_->lease_state_bytes()); });
+                        [srv]() { return static_cast<double>(srv->lease_state_bytes()); });
     sampler_->add_probe("held_files",
-                        [this]() { return static_cast<double>(server_->locks().held_files()); });
+                        [srv]() { return static_cast<double>(srv->locks().held_files()); });
     if (cfg_.strategy == core::LeaseStrategy::kStorageTank) {
-      sampler_->add_probe("suspect_clients", [this]() {
-        return static_cast<double>(server_->authority().suspect_count());
+      sampler_->add_probe("suspect_clients", [srv]() {
+        return static_cast<double>(srv->authority().suspect_count());
       });
     }
     sampler_->add_delta_probe(
-        "net_sent", [this]() { return static_cast<double>(net_->stats().sent); });
+        "net_sent", [ctrl]() { return static_cast<double>(ctrl->stats().sent); });
     sampler_->add_delta_probe(
-        "net_delivered", [this]() { return static_cast<double>(net_->stats().delivered); });
-    sampler_->add_delta_probe("net_dropped", [this]() {
-      const net::NetStats& s = net_->stats();
+        "net_delivered", [ctrl]() { return static_cast<double>(ctrl->stats().delivered); });
+    sampler_->add_delta_probe("net_dropped", [ctrl]() {
+      const net::NetStats& s = ctrl->stats();
       return static_cast<double>(s.dropped_partition + s.dropped_random + s.dropped_burst +
                                  s.dropped_detached);
     });
@@ -179,15 +234,15 @@ void Scenario::build() {
     // Invariant watchdog, evaluated on the same lease-timer cadence as the
     // sampler (sample_lease_state). It never schedules engine events of its
     // own, so arming it cannot perturb the event sequence.
-    watchdog_ = std::make_unique<obs::Watchdog>(*rec_);
+    watchdog_ = std::make_unique<obs::Watchdog>(*rec);
     const auto n = static_cast<double>(cfg_.workload.num_clients);
     if (cfg_.strategy == core::LeaseStrategy::kStorageTank) {
       // More than half the population simultaneously suspect means the
       // failure detector is melting down, not detecting failures.
       watchdog_->add_probe(
           "suspect_clients",
-          [this]() { return static_cast<double>(server_->authority().suspect_count()); },
-          0.0, std::max(1.0, n / 2.0));
+          [srv]() { return static_cast<double>(srv->authority().suspect_count()); }, 0.0,
+          std::max(1.0, n / 2.0));
       // Lease-phase residency drift: clients stuck in the disruption phases
       // (suspect/flush/expired) outside an injected failure episode.
       watchdog_->add_probe(
@@ -204,15 +259,51 @@ void Scenario::build() {
     // Any ring overwrite between two evaluations is an anomaly worth a
     // typed event: a violating run's trace may have lost its root cause.
     watchdog_->add_rate_probe(
-        "trace_dropped", [this]() { return static_cast<double>(rec_->dropped_events()); },
-        0.0);
+        "trace_dropped", [rec]() { return static_cast<double>(rec->dropped_events()); }, 0.0);
     // Lock-convoy bound: the whole population queued four deep is a convoy,
     // not contention.
     watchdog_->add_probe(
         "lock_waiters",
-        [this]() { return static_cast<double>(server_->locks().queued_waiters()); }, 0.0,
+        [srv]() { return static_cast<double>(srv->locks().queued_waiters()); }, 0.0,
         std::max(4.0, 4.0 * n));
   }
+  if (cfg_.shard_telemetry) arm_shard_telemetry();
+}
+
+void Scenario::arm_shard_telemetry() {
+  // The engine and fabric register per-shard counters. At K > 1 a watchdog
+  // rides the engine's barrier snapshot hook (worker 0, everyone else
+  // parked); the K = 1 fast path has no barriers, so it books counters only.
+  // Arming adds zero engine events and draws no randomness.
+  shard_counters_ = std::make_unique<obs::Counters>();
+  obs::Counters& ctr = *shard_counters_;
+  sim::ShardedEngine::Telemetry tel;
+  tel.counters = &ctr;
+  if (shards() > 1) {
+    watchdog_rec_ = std::make_unique<obs::Recorder>();
+    watchdog_ = std::make_unique<obs::Watchdog>(*watchdog_rec_);
+    // ~20 ms of simulated time between snapshots at the 10 us window.
+    tel.snapshot_every_windows = 2048;
+    tel.on_snapshot = [wd = watchdog_.get()](sim::SimTime at) { wd->evaluate(at); };
+  }
+  engine_.set_telemetry(std::move(tel));
+  net_->set_counters(&ctr);
+  ctr.freeze(shards());
+  if (shards() == 1) return;
+  // Probes read merged counters: legal between the snapshot barriers
+  // (every producer is parked) and after the run.
+  const obs::Counters::Id id_hw = ctr.find("net.mailbox_hw");
+  const obs::Counters::Id id_imb = ctr.find("engine.imbalance_permille");
+  // A mailbox a million datagrams deep means a consumer shard stopped
+  // draining: a hang signature, not load.
+  watchdog_->add_probe(
+      "mailbox_hw", [&ctr, id_hw]() { return static_cast<double>(ctr.merged(id_hw)); }, 0.0,
+      1 << 20);
+  // The placement gives every shard N/K clients and one server, so a shard
+  // running 1.25x the mean load means the placement is skewed.
+  watchdog_->add_probe(
+      "imbalance_permille",
+      [&ctr, id_imb]() { return static_cast<double>(ctr.merged(id_imb)); }, 0.0, 1250.0);
 }
 
 void Scenario::setup() {
@@ -220,30 +311,42 @@ void Scenario::setup() {
   setup_done_ = true;
   build();
 
-  // Preallocate the file pool so sizes and extents are stable.
-  for (std::uint32_t f = 0; f < cfg_.workload.num_files; ++f) {
-    auto res = server_->preallocate(
-        file_path(f), static_cast<std::uint64_t>(cfg_.workload.file_blocks) * cfg_.block_size);
-    STANK_ASSERT_MSG(res.ok(), "preallocation failed: disk too small for the file pool?");
-    file_ids_.push_back(res.value());
+  // Preallocate the file pool on every server so sizes and extents are
+  // stable (each server allocates the same ids; file_id() names server 0's).
+  for (std::size_t j = 0; j < servers_.size(); ++j) {
+    for (std::uint32_t f = 0; f < cfg_.workload.num_files; ++f) {
+      auto res = servers_[j]->preallocate(
+          file_path(f), static_cast<std::uint64_t>(cfg_.workload.file_blocks) * cfg_.block_size);
+      STANK_ASSERT_MSG(res.ok(), "preallocation failed: disk too small for the file pool?");
+      if (j == 0) file_ids_.push_back(res.value());
+    }
+    servers_[j]->start();
   }
 
-  server_->start();
-
+  const bool cycle = cfg_.workload.pattern == Pattern::kLockCycle;
   for (std::size_t c = 0; c < clients_.size(); ++c) {
     client::Client& cl = *clients_[c];
-    cl.on_registered = [this, c]() { open_all_files(c, []() {}); };
-    cl.start();
+    if (!cycle) {
+      cl.on_registered = [this, c]() { open_all_files(c, []() {}); };
+      cl.start();
+      continue;
+    }
+    // Stagger registration across the first second so the servers see a
+    // ramp, not one synchronized thundering herd.
+    ClientDriver& d = drivers_[c];
+    cl.on_registered = [this, c]() { open_cycle_file(c); };
+    const double start_at = 0.001 + 0.999 * d.rng.uniform();
+    engine_of(d).schedule_after(sim::seconds_d(start_at), [this, c]() { clients_[c]->start(); });
   }
 
   // Failure plan.
   for (const auto& ev : cfg_.failures.events) {
-    engine_.schedule_at(sim::SimTime{} + sim::seconds_d(ev.at_s),
-                        [this, ev]() { apply_failure(ev); });
+    engine().schedule_at(sim::SimTime{} + sim::seconds_d(ev.at_s),
+                         [this, ev]() { apply_failure(ev); });
   }
 
   // Lease-state sampler.
-  sample_lease_state();
+  for (std::size_t j = 0; j < servers_.size(); ++j) sample_lease_state(j);
 }
 
 void Scenario::open_all_files(std::size_t ci, std::function<void()> done) {
@@ -276,21 +379,23 @@ void Scenario::open_all_files(std::size_t ci, std::function<void()> done) {
 void Scenario::run_generators() {
   for (auto& d : drivers_) {
     d.running = true;
-    schedule_next_op(d.index);
+    if (cfg_.workload.pattern == Pattern::kLockCycle) {
+      maybe_start_cycle(d.index);
+    } else {
+      schedule_next_op(d.index);
+    }
   }
 }
-
-bool Scenario::workload_over() const { return now_s() >= cfg_.workload.run_seconds; }
 
 void Scenario::schedule_next_op(std::size_t ci) {
   ClientDriver& d = drivers_[ci];
   const double wait = d.rng.exponential(cfg_.workload.mean_interarrival_s);
-  engine_.schedule_after(sim::seconds_d(wait), [this, ci]() { issue_op(ci); });
+  engine_of(d).schedule_after(sim::seconds_d(wait), [this, ci]() { issue_op(ci); });
 }
 
 void Scenario::issue_op(std::size_t ci) {
   ClientDriver& d = drivers_[ci];
-  if (!d.running || workload_over()) {
+  if (!d.running || workload_over(d)) {
     d.running = false;
     return;
   }
@@ -307,6 +412,75 @@ void Scenario::issue_op(std::size_t ci) {
   } else {
     do_write(ci, op.file_idx, op.block);
   }
+}
+
+void Scenario::open_cycle_file(std::size_t ci) {
+  // Reached from on_registered, which re-fires after every re-registration:
+  // re-open (a fresh Zipf draw) and refresh the fd, but never spawn a
+  // second loop.
+  ClientDriver& d = drivers_[ci];
+  const std::size_t fi = cycle_zipf_->pick(d.rng.uniform());
+  clients_[ci]->open(file_path(fi), /*create=*/false, [this, ci, fi](Result<client::Fd> res) {
+    ClientDriver& d2 = drivers_[ci];
+    if (!res.ok()) {
+      ++d2.ops.failed;
+      // A transient NACK or timeout: retry shortly.
+      engine_of(d2).schedule_after(sim::millis(200), [this, ci]() { open_cycle_file(ci); });
+      return;
+    }
+    d2.fds.clear();
+    d2.fds[fi] = res.value();
+    maybe_start_cycle(ci);
+  });
+}
+
+void Scenario::maybe_start_cycle(std::size_t ci) {
+  ClientDriver& d = drivers_[ci];
+  if (!d.running || d.fds.empty() || d.cycling) return;
+  d.cycling = true;
+  schedule_next_cycle(ci, d.cycle_gen);
+}
+
+void Scenario::schedule_next_cycle(std::size_t ci, std::uint32_t gen) {
+  ClientDriver& d = drivers_[ci];
+  const double think = d.rng.exponential(cfg_.workload.mean_interarrival_s);
+  engine_of(d).schedule_after(sim::seconds_d(think),
+                              [this, ci, gen]() { lock_cycle(ci, gen); });
+}
+
+void Scenario::lock_cycle(std::size_t ci, std::uint32_t gen) {
+  ClientDriver& d = drivers_[ci];
+  if (gen != d.cycle_gen) return;  // retired by a crash
+  if (!d.running || workload_over(d)) {
+    d.running = false;
+    d.cycling = false;
+    return;
+  }
+  d.cycle_t0 = engine_of(d).now();
+  d.cycle_mode = d.rng.uniform() < 1.0 - cfg_.workload.read_fraction
+                     ? protocol::LockMode::kExclusive
+                     : protocol::LockMode::kShared;
+  // Closed loop: the next think time starts when this cycle ends. A crash
+  // drops these callbacks, so when one runs its loop is still cycle_gen.
+  clients_[ci]->lock(d.fds.begin()->second, d.cycle_mode, [this, ci](Status st) {
+    ClientDriver& d2 = drivers_[ci];
+    if (!st.is_ok()) {
+      ++d2.ops.failed;
+      schedule_next_cycle(ci, d2.cycle_gen);
+      return;
+    }
+    const client::Fd fd = d2.fds.begin()->second;
+    clients_[ci]->release(fd, protocol::LockMode::kNone, [this, ci](Status st2) {
+      ClientDriver& d3 = drivers_[ci];
+      if (st2.is_ok()) {
+        ++(d3.cycle_mode == protocol::LockMode::kExclusive ? d3.ops.writes_ok : d3.ops.reads_ok);
+        note_op_latency(d3, d3.cycle_t0);
+      } else {
+        ++d3.ops.failed;
+      }
+      schedule_next_cycle(ci, d3.cycle_gen);
+    });
+  });
 }
 
 Scenario::OpChoice Scenario::choose_op(ClientDriver& d) {
@@ -347,22 +521,16 @@ Scenario::OpChoice Scenario::choose_op(ClientDriver& d) {
       op.is_read = d.rng.uniform() < w.read_fraction;
       break;
     }
+    case Pattern::kLockCycle:
+      STANK_UNREACHABLE("kLockCycle issues no block ops");
   }
   return op;
 }
 
-void Scenario::note_op_latency(std::size_t ci, std::uint64_t issue_token, sim::SimTime t0) {
-  const double ms = (engine_.now() - t0).millis();
-  op_latency_ms_.add(ms);
-  // Token unchanged since issue => the op never overlapped a suspect/expiry
-  // window on its client: its latency is pure protocol steady-state cost.
-  const bool steady = clients_[ci]->disruption_token() == issue_token;
-  (steady ? op_latency_steady_ms_ : op_latency_recovery_ms_).add(ms);
-  if (rec_ != nullptr) {
-    rec_->span(obs::SpanKind::kOpLatency, ms);
-    rec_->span(steady ? obs::SpanKind::kOpLatencySteady : obs::SpanKind::kOpLatencyRecovery,
-               ms);
-  }
+void Scenario::note_op_latency(const ClientDriver& d, sim::SimTime t0) {
+  const double ms = (engine_.shard(d.shard).now() - t0).millis();
+  op_latency_ms_[d.shard].add(ms);
+  if (obs::Recorder* rec = trace_rec(d.shard)) rec->span(obs::SpanKind::kOpLatency, ms);
 }
 
 void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
@@ -371,22 +539,22 @@ void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
   const client::Fd fd = d.fds.at(fi);
   const FileId file = file_ids_.at(fi);
   const NodeId node = client_node(ci);
-  const sim::SimTime t0 = engine_.now();
-  const std::uint64_t tok = cl.disruption_token();
+  const sim::SimTime t0 = engine_of(d).now();
 
-  auto perform = [this, ci, fd, file, block, node, t0, tok]() {
+  auto perform = [this, ci, fd, file, block, node, t0]() {
     client::Client& cl2 = *clients_[ci];
     const std::uint64_t version = next_version(file, block);
     verify::Stamp stamp{file, block, version, node};
     Bytes data = verify::make_stamped_block(cfg_.block_size, stamp);
     cl2.write(fd, block * cfg_.block_size, std::move(data),
-              [this, ci, stamp, node, t0, tok](Status st) {
+              [this, ci, stamp, node, t0](Status st) {
+                ClientDriver& d2 = drivers_[ci];
                 if (st.is_ok()) {
-                  ++writes_ok_;
-                  history_.on_buffered_write(engine_.now(), node, stamp);
-                  note_op_latency(ci, tok, t0);
+                  ++d2.ops.writes_ok;
+                  history_.on_buffered_write(engine_of(d2).now(), node, stamp);
+                  note_op_latency(d2, t0);
                 } else {
-                  ++ops_failed_;
+                  ++d2.ops.failed;
                 }
               });
   };
@@ -397,9 +565,9 @@ void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
     perform();
     return;
   }
-  cl.lock(fd, protocol::LockMode::kExclusive, [this, perform](Status st) {
+  cl.lock(fd, protocol::LockMode::kExclusive, [this, ci, perform](Status st) {
     if (!st.is_ok()) {
-      ++ops_failed_;
+      ++drivers_[ci].ops.failed;
       return;
     }
     perform();
@@ -412,22 +580,22 @@ void Scenario::do_read(std::size_t ci, std::size_t fi, std::uint64_t block) {
   const client::Fd fd = d.fds.at(fi);
   const FileId file = file_ids_.at(fi);
   const NodeId node = client_node(ci);
-  const sim::SimTime t0 = engine_.now();
-  const std::uint64_t tok = cl.disruption_token();
+  const sim::SimTime t0 = engine_of(d).now();
 
   cl.read(fd, block * cfg_.block_size, cfg_.block_size,
-          [this, ci, file, block, node, t0, tok](Result<Bytes> res) {
+          [this, ci, file, block, node, t0](Result<Bytes> res) {
+            ClientDriver& d2 = drivers_[ci];
             if (!res.ok() || res.value().size() != cfg_.block_size) {
-              ++ops_failed_;
+              ++d2.ops.failed;
               return;
             }
-            ++reads_ok_;
-            note_op_latency(ci, tok, t0);
+            ++d2.ops.reads_ok;
+            note_op_latency(d2, t0);
             auto stamp = verify::decode_stamp(res.value());
             recycle_buf(std::move(res).value());  // stamp decoded, data done
             verify::ReadRec rec;
             rec.start = t0;
-            rec.end = engine_.now();
+            rec.end = engine_of(d2).now();
             rec.client = node;
             rec.file = file;
             rec.block = block;
@@ -437,34 +605,42 @@ void Scenario::do_read(std::size_t ci, std::size_t fi, std::uint64_t block) {
 }
 
 void Scenario::apply_failure(const FailureEvent& ev) {
+  STANK_ASSERT_MSG(shards() == 1, "failure injection is single-shard");
   const std::size_t ci = ev.client_idx;
   if (ci >= clients_.size()) return;
   const NodeId node = client_node(ci);
+  net::ControlNet& ctrl = control_net();
+  storage::SanFabric& san = *sans_[0];
+  server::Server& srv = server();
 
   switch (ev.kind) {
     case FailureKind::kCtrlIsolate:
-      net_->reachability().sever_pair(node, server_node());
+      ctrl.reachability().sever_pair(node, server_node());
       break;
     case FailureKind::kCtrlSeverToServer:
-      net_->reachability().sever(node, server_node());
+      ctrl.reachability().sever(node, server_node());
       break;
     case FailureKind::kCtrlHeal:
-      net_->reachability().restore_pair(node, server_node());
+      ctrl.reachability().restore_pair(node, server_node());
       break;
     case FailureKind::kSanIsolate:
       for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().sever(node, DiskId{d + 1});
+        san.reachability().sever(node, DiskId{d + 1});
       }
       break;
     case FailureKind::kSanHeal:
       for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().restore(node, DiskId{d + 1});
+        san.reachability().restore(node, DiskId{d + 1});
       }
       break;
     case FailureKind::kCrash:
       clients_[ci]->crash();
       history_.on_crash(node);
       drivers_[ci].fds.clear();
+      // The crash dropped any in-flight lock-cycle callbacks: retire that
+      // loop; re-registration opens the file and starts a fresh one.
+      drivers_[ci].cycling = false;
+      ++drivers_[ci].cycle_gen;
       break;
     case FailureKind::kRestart:
       if (clients_[ci]->crashed()) {
@@ -472,44 +648,45 @@ void Scenario::apply_failure(const FailureEvent& ev) {
       }
       break;
     case FailureKind::kSlowSan:
-      san_->config().initiator_delay[node] = sim::seconds_d(ev.param_s);
+      san.config().initiator_delay[node] = sim::seconds_d(ev.param_s);
       break;
     case FailureKind::kServerCrash:
-      server_->crash();
+      srv.crash();
       break;
     case FailureKind::kServerRestart:
       // Random plans can overlap crash/restart pairs; a restart that lands
       // while the server is already up is a no-op, not an error.
-      if (!server_->started()) {
-        server_->restart();
+      if (!srv.started()) {
+        srv.restart();
       }
       break;
     case FailureKind::kSanIsolateServer:
       // The server loses its SAN path: fence admin commands cannot reach the
       // disks and a fence->steal must hold until the path heals.
       for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().sever(server_node(), DiskId{d + 1});
+        san.reachability().sever(server_node(), DiskId{d + 1});
       }
       break;
     case FailureKind::kSanHealServer:
       for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().restore(server_node(), DiskId{d + 1});
+        san.reachability().restore(server_node(), DiskId{d + 1});
       }
       break;
   }
 }
 
-void Scenario::sample_lease_state() {
-  max_lease_bytes_ = std::max(max_lease_bytes_, server_->lease_state_bytes());
+void Scenario::sample_lease_state(std::size_t j) {
+  sim::Engine& eng = engine_.shard(static_cast<unsigned>(j));
+  max_lease_bytes_[j] = std::max(max_lease_bytes_[j], servers_[j]->lease_state_bytes());
   if (sampler_) {
     sampler_->snapshot(now_s());
   }
-  if (watchdog_) {
-    watchdog_->evaluate(engine_.now());
+  if (watchdog_ && shards() == 1) {
+    watchdog_->evaluate(eng.now());
   }
   const double horizon = cfg_.workload.run_seconds + settle_seconds_;
-  if (now_s() < horizon) {
-    engine_.schedule_after(sim::millis(250), [this]() { sample_lease_state(); });
+  if (eng.now().seconds() < horizon) {
+    eng.schedule_after(sim::millis(250), [this, j]() { sample_lease_state(j); });
   }
 }
 
@@ -528,8 +705,10 @@ ScenarioResult Scenario::finish() {
   const double end_run = std::max(now_s(), cfg_.workload.run_seconds);
 
   if (cfg_.heal_at_settle) {
-    net_->reachability().heal();
-    san_->reachability().heal();
+    for (unsigned sh = 0; sh < shards(); ++sh) {
+      net_->shard(sh).reachability().heal();
+      sans_[sh]->reachability().heal();
+    }
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       if (clients_[c]->crashed()) {
         clients_[c]->restart();
@@ -560,14 +739,14 @@ ScenarioResult Scenario::finish() {
   const sim::SimTime hard_end_t = sim::SimTime{} + sim::seconds_d(end_run + 2.0 * settle_seconds_);
   const sim::Duration sweep_step = sim::seconds_d(0.1 * settle_seconds_);
   bool clean = false;
-  while (!clean && engine_.now() < hard_end_t) {
+  while (!clean && engine().now() < hard_end_t) {
     for (auto& cl : clients_) {
       if (!cl->crashed() && cl->registered() && cl->accepting() &&
           cl->dirty_pages() > 0) {
         cl->sync_all([](Status) {});
       }
     }
-    engine_.run_until(std::min(engine_.now() + sweep_step, hard_end_t));
+    engine_.run_until(std::min(engine().now() + sweep_step, hard_end_t));
     clean = true;
     for (auto& cl : clients_) {
       if (!cl->crashed() && cl->dirty_pages() > 0) clean = false;
@@ -580,32 +759,46 @@ ScenarioResult Scenario::finish() {
   auto split = verify::ConsistencyChecker(history_).check_all_split();
   r.honest_violations = std::move(split.honest);
   r.byzantine_violations = std::move(split.byzantine);
-  r.reads_ok = reads_ok_;
-  r.writes_ok = writes_ok_;
-  r.ops_failed = ops_failed_;
-  r.server = server_->counters();
-  for (auto& cl : clients_) {
+  for (const ClientDriver& d : drivers_) {
+    r.reads_ok += d.ops.reads_ok;
+    r.writes_ok += d.ops.writes_ok;
+    r.ops_failed += d.ops.failed;
+  }
+  for (const auto& cl : clients_) {
     r.clients += cl->counters();
   }
-  for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-    const auto& disk = san_->disk(DiskId{d + 1});
-    for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
-      const NodeId node = client_node(ci);
-      if (const auto n = disk.fenced_rejections(node); n > 0) {
-        r.fence_rejects_by_initiator[node] += n;
+  for (std::size_t j = 0; j < servers_.size(); ++j) {
+    const server::Server& srv = *servers_[j];
+    r.server += srv.counters();
+    r.max_lease_state_bytes =
+        std::max({r.max_lease_state_bytes, max_lease_bytes_[j], srv.lease_state_bytes()});
+    r.final_lease_state_bytes = std::max(r.final_lease_state_bytes, srv.lease_state_bytes());
+  }
+  for (const auto& san : sans_) {
+    for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
+      const auto& disk = san->disk(DiskId{d + 1});
+      for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
+        const NodeId node = client_node(ci);
+        if (const auto n = disk.fenced_rejections(node); n > 0) {
+          r.fence_rejects_by_initiator[node] += n;
+        }
       }
     }
+    const storage::SanStats& x = san->stats();
+    r.san.ios_submitted += x.ios_submitted;
+    r.san.ios_completed += x.ios_completed;
+    r.san.ios_failed_partition += x.ios_failed_partition;
+    r.san.ios_failed_fenced += x.ios_failed_fenced;
+    r.san.admin_ops += x.admin_ops;
+    r.san.bytes_transferred += x.bytes_transferred;
   }
   r.net = net_->stats();
-  r.san = san_->stats();
-  r.max_lease_state_bytes = std::max(max_lease_bytes_, server_->lease_state_bytes());
-  r.final_lease_state_bytes = server_->lease_state_bytes();
-  r.op_latency_ms = op_latency_ms_;
-  r.op_latency_steady_ms = op_latency_steady_ms_;
-  r.op_latency_recovery_ms = op_latency_recovery_ms_;
+  for (const metrics::Histogram& h : op_latency_ms_) r.op_latency_ms.merge(h);
   r.sim_seconds = now_s();
   r.engine_events = engine_.events_executed();
-  r.trace_dropped = rec_ != nullptr ? rec_->dropped_events() : 0;
+  for (unsigned sh = 0; sh < shards(); ++sh) {
+    if (const obs::Recorder* rec = trace_rec(sh)) r.trace_dropped += rec->dropped_events();
+  }
   r.watchdog_trips = watchdog_ != nullptr ? watchdog_->trips() : 0;
   return r;
 }

@@ -1,12 +1,19 @@
 // Scenario: one complete simulated Storage Tank installation plus a workload
 // driver, failure injector, and verifier.
 //
-// This is the single entry point the examples and experiment benches build
-// on. A scenario owns the engine, both networks, the disks, the server, the
-// clients (each with an independently rate-skewed clock inside the epsilon
-// band), the omniscient history recorder, and a per-client open/lock/read/
-// write op generator. run() executes setup -> workload+failures -> settle ->
-// consistency check and returns every number the tables need.
+// This is the single entry point the examples, experiment benches, the
+// safety fuzzer and the swarm benches build on. A scenario owns the engine,
+// both networks, the disks, K servers, the clients (each with an
+// independently rate-skewed clock inside the epsilon band), the omniscient
+// history recorder, and a per-client op generator. run() executes setup ->
+// workload+failures -> settle -> consistency check and returns every number
+// the tables need.
+//
+// The engine is a sim::ShardedEngine with K = cfg.engine.shards shards and
+// one server per shard (server j on shard j). Client i registers with server
+// i mod K and lives on shard (i + i/K) mod K, so every shard hosts N/K
+// clients. K = 1 is the serial engine exactly: same RNG streams, same event
+// sequence, same results.
 #pragma once
 
 #include <map>
@@ -17,12 +24,15 @@
 #include "client/client.hpp"
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
+#include "net/sharded_net.hpp"
+#include "obs/counters.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
 #include "obs/watchdog.hpp"
 #include "server/server.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "sim/sharded_engine.hpp"
 #include "storage/san.hpp"
 #include "verify/checker.hpp"
 #include "verify/history.hpp"
@@ -50,6 +60,14 @@ struct ScenarioConfig {
   sim::LocalDuration recovery_grace{sim::LocalDuration{0}};
   bool heal_at_settle{true};
   bool enable_trace{false};
+  // Shards (K servers, server j on shard j) and worker threads. K > 1 runs
+  // the control path only: the kLockCycle pattern with no failure plan.
+  sim::ShardedEngine::Config engine;
+  // Arm the sharded engine's per-shard counters and, at K > 1, a watchdog
+  // on its barrier snapshot hook (mailbox depth, shard imbalance). The
+  // watchdog writes to its own recorder, never a trace recorder, and
+  // neither schedules events, so armed and dark runs are identical.
+  bool shard_telemetry{false};
   // Clock-rate assignment inside [1/(1+eps), 1+eps]: 0 random per node,
   // +1 clients slow / server fast (adversarial for availability),
   // -1 clients fast / server slow (adversarial for safety margins),
@@ -95,7 +113,7 @@ struct ScenarioResult {
   std::uint64_t writes_ok{0};
   std::uint64_t ops_failed{0};
 
-  metrics::Counters server;
+  metrics::Counters server;   // summed across servers
   metrics::Counters clients;  // summed across clients
   net::NetStats net;
   storage::SanStats san;
@@ -104,17 +122,12 @@ struct ScenarioResult {
   // disks' fence lists) absorbed — the fuzzer reports it per misbehavior.
   std::map<NodeId, std::uint64_t> fence_rejects_by_initiator;
 
-  // Peak lease bookkeeping at the server (sampled), and at the end.
+  // Peak lease bookkeeping at the server (sampled), and at the end; with
+  // K > 1 servers, the largest single server's.
   std::size_t max_lease_state_bytes{0};
   std::size_t final_lease_state_bytes{0};
 
   metrics::Histogram op_latency_ms;
-  // The same population split by lease state: ops that ran entirely inside
-  // lease phases 1/2 vs. ops that overlapped a suspect/expiry disruption.
-  // The fig4 p99 of the combined track is dominated by the recovery tail;
-  // these two tracks separate protocol steady-state cost from failure cost.
-  metrics::Histogram op_latency_steady_ms;
-  metrics::Histogram op_latency_recovery_ms;
   double sim_seconds{0.0};
   std::uint64_t engine_events{0};
 
@@ -128,6 +141,13 @@ struct ScenarioResult {
   // One-line final verdict: consistency outcome, op counts, and the network
   // summary (what the fabric did to the traffic explains a bad run).
   [[nodiscard]] std::string verdict_line() const;
+};
+
+// Per-client op outcomes. Written only by the client's own shard.
+struct ClientOps {
+  std::uint64_t reads_ok{0};   // kLockCycle: shared lock/release cycles
+  std::uint64_t writes_ok{0};  // kLockCycle: exclusive lock/release cycles
+  std::uint64_t failed{0};     // kLockCycle: also failed opens
 };
 
 class Scenario {
@@ -148,20 +168,33 @@ class Scenario {
   ScenarioResult finish();      // settle, final sync, consistency check
 
   // --- Access -------------------------------------------------------------
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
-  [[nodiscard]] server::Server& server() { return *server_; }
+  // The single-server accessors name shard 0's objects: with K = 1 they are
+  // the whole installation.
+  [[nodiscard]] sim::Engine& engine() { return engine_.shard(0); }
+  [[nodiscard]] sim::ShardedEngine& sharded_engine() { return engine_; }
+  [[nodiscard]] server::Server& server() { return *servers_[0]; }
+  [[nodiscard]] server::Server& server(std::size_t j) { return *servers_.at(j); }
+  [[nodiscard]] std::size_t num_servers() const { return servers_.size(); }
   [[nodiscard]] client::Client& client(std::size_t i) { return *clients_.at(i); }
   [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
-  [[nodiscard]] net::ControlNet& control_net() { return *net_; }
-  [[nodiscard]] storage::SanFabric& san() { return *san_; }
-  // The typed flight recorder (always present; only fed when
-  // cfg.enable_trace attached it to the nodes).
-  [[nodiscard]] obs::Recorder& recorder() { return *recorder_; }
-  // Null unless cfg.enable_trace armed it alongside the sampler.
+  [[nodiscard]] const ClientOps& client_ops(std::size_t i) const { return drivers_.at(i).ops; }
+  [[nodiscard]] net::ControlNet& control_net() { return net_->shard(0); }
+  [[nodiscard]] net::ShardedNet& sharded_net() { return *net_; }
+  [[nodiscard]] storage::SanFabric& san() { return *sans_[0]; }
+  // The typed flight recorders, one per shard (always present; only fed
+  // when cfg.enable_trace attached them to the nodes).
+  [[nodiscard]] obs::Recorder& recorder() { return *recorders_[0]; }
+  [[nodiscard]] obs::Recorder& recorder(std::size_t shard) { return *recorders_.at(shard); }
+  // Null unless armed: by cfg.enable_trace at K = 1 (lease-timer cadence),
+  // by cfg.shard_telemetry at K > 1 (barrier snapshot cadence).
   [[nodiscard]] obs::Watchdog* watchdog() { return watchdog_.get(); }
+  // The sharded engine's counter registry; null unless shard telemetry is
+  // armed.
+  [[nodiscard]] const obs::Counters* shard_counters() const { return shard_counters_.get(); }
   [[nodiscard]] verify::HistoryRecorder& history() { return history_; }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
-  [[nodiscard]] NodeId server_node() const;
+  [[nodiscard]] NodeId server_node() const { return server_node(0); }
+  [[nodiscard]] NodeId server_node(std::size_t j) const;
   [[nodiscard]] NodeId client_node(std::size_t i) const;
   [[nodiscard]] FileId file_id(std::size_t file_idx) const { return file_ids_.at(file_idx); }
   [[nodiscard]] client::Fd fd(std::size_t client_idx, std::size_t file_idx) const;
@@ -171,15 +204,25 @@ class Scenario {
   std::uint64_t next_version(FileId file, std::uint64_t block);
 
   // Applies one failure event immediately (the plan scheduler uses this).
+  // K = 1 only.
   void apply_failure(const FailureEvent& ev);
 
  private:
   struct ClientDriver {
     std::size_t index{0};
+    unsigned shard{0};  // engine shard hosting the client and its timers
     bool running{false};
-    std::map<std::size_t, client::Fd> fds;  // file idx -> fd
+    std::map<std::size_t, client::Fd> fds;  // file idx -> fd (kLockCycle: the one file)
     sim::Rng rng{0};
     std::uint64_t cursor{0};  // sequential patterns: absolute block position
+    ClientOps ops;
+    // kLockCycle: a crash drops the live loop's callbacks but not its think
+    // timer, so it bumps cycle_gen to retire that loop. The cycle in flight
+    // keeps its start and mode here: its callbacks capture only [this, ci].
+    bool cycling{false};
+    std::uint32_t cycle_gen{0};
+    sim::SimTime cycle_t0;
+    protocol::LockMode cycle_mode{protocol::LockMode::kShared};
   };
   // Picks (file, block, is_read) for this arrival under the configured
   // pattern.
@@ -191,48 +234,58 @@ class Scenario {
   OpChoice choose_op(ClientDriver& d);
 
   void build();
+  void arm_shard_telemetry();
+  [[nodiscard]] unsigned shards() const { return engine_.shard_count(); }
+  [[nodiscard]] unsigned client_shard(std::size_t i) const;
+  [[nodiscard]] sim::Engine& engine_of(const ClientDriver& d) { return engine_.shard(d.shard); }
+  // The shard's trace recorder, or null when tracing is off.
+  [[nodiscard]] obs::Recorder* trace_rec(unsigned shard) {
+    return cfg_.enable_trace ? recorders_[shard].get() : nullptr;
+  }
   void open_all_files(std::size_t ci, std::function<void()> done);
   void schedule_next_op(std::size_t ci);
   void issue_op(std::size_t ci);
   void do_write(std::size_t ci, std::size_t fi, std::uint64_t block);
   void do_read(std::size_t ci, std::size_t fi, std::uint64_t block);
-  // Records a completed op's latency into the combined histogram and into
-  // the steady/recovery split, based on whether client ci's disruption token
-  // still matches its issue-time snapshot.
-  void note_op_latency(std::size_t ci, std::uint64_t issue_token, sim::SimTime t0);
-  void sample_lease_state();
-  [[nodiscard]] double now_s() const { return engine_.now().seconds(); }
-  [[nodiscard]] bool workload_over() const;
+  // kLockCycle: open one Zipf-chosen file, then lock -> release -> think.
+  void open_cycle_file(std::size_t ci);
+  void maybe_start_cycle(std::size_t ci);
+  void schedule_next_cycle(std::size_t ci, std::uint32_t gen);
+  void lock_cycle(std::size_t ci, std::uint32_t gen);
+  // Records a completed op's latency on the client's shard.
+  void note_op_latency(const ClientDriver& d, sim::SimTime t0);
+  // Server j's lease-state sampling tick, on shard j.
+  void sample_lease_state(std::size_t j);
+  [[nodiscard]] double now_s() const { return engine_.shard(0).now().seconds(); }
+  [[nodiscard]] bool workload_over(const ClientDriver& d) const {
+    return engine_.shard(d.shard).now().seconds() >= cfg_.workload.run_seconds;
+  }
 
   ScenarioConfig cfg_;
-  sim::Engine engine_;
+  sim::ShardedEngine engine_;
   sim::Rng rng_;
   // Heap-held: inlining the 640-byte recorder into Scenario raised peak RSS
   // by ~8% over eight back-to-back scenarios of perfbench's io-shared-faults
   // (allocator fragmentation), with tracing off.
-  std::unique_ptr<obs::Recorder> recorder_ = std::make_unique<obs::Recorder>();
-  // Null unless cfg_.enable_trace; the same gate the nodes use, so latency
-  // spans cost one branch in untraced benches.
-  obs::Recorder* rec_{nullptr};
+  std::vector<std::unique_ptr<obs::Recorder>> recorders_;
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::Watchdog> watchdog_;
+  // Shard telemetry: the registry and the watchdog's private recorder.
+  std::unique_ptr<obs::Counters> shard_counters_;
+  std::unique_ptr<obs::Recorder> watchdog_rec_;
   verify::HistoryRecorder history_;
 
-  std::unique_ptr<net::ControlNet> net_;
-  std::unique_ptr<storage::SanFabric> san_;
-  std::unique_ptr<server::Server> server_;
+  std::unique_ptr<net::ShardedNet> net_;
+  std::vector<std::unique_ptr<storage::SanFabric>> sans_;      // one per shard
+  std::vector<std::unique_ptr<server::Server>> servers_;       // server j on shard j
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::vector<ClientDriver> drivers_;
+  std::unique_ptr<sim::ZipfTable> cycle_zipf_;  // kLockCycle file popularity
   std::vector<FileId> file_ids_;
   std::map<std::pair<FileId, std::uint64_t>, std::uint64_t> versions_;
 
-  std::uint64_t reads_ok_{0};
-  std::uint64_t writes_ok_{0};
-  std::uint64_t ops_failed_{0};
-  metrics::Histogram op_latency_ms_;
-  metrics::Histogram op_latency_steady_ms_;
-  metrics::Histogram op_latency_recovery_ms_;
-  std::size_t max_lease_bytes_{0};
+  std::vector<metrics::Histogram> op_latency_ms_;  // per shard
+  std::vector<std::size_t> max_lease_bytes_;       // per server
   bool setup_done_{false};
   double settle_seconds_{0.0};
 };

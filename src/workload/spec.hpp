@@ -18,11 +18,17 @@ namespace stank::workload {
 //                      (maximum demand/downgrade churn)
 //   kPrivate           client i touches only files f with f % clients == i
 //                      (no sharing: locks acquired once, then pure cache)
+//   kLockCycle         the swarm mix, control path only: each client
+//                      registers somewhere in [0.001, 1) s, opens one
+//                      Zipf-chosen file and loops lock -> release -> think
+//                      (closed loop; no data I/O). read_fraction is the
+//                      shared-lock share, mean_interarrival_s the think time.
 enum class Pattern : std::uint8_t {
   kRandomZipf = 0,
   kSequential,
   kProducerConsumer,
   kPrivate,
+  kLockCycle,
 };
 
 [[nodiscard]] constexpr const char* to_string(Pattern p) {
@@ -31,6 +37,7 @@ enum class Pattern : std::uint8_t {
     case Pattern::kSequential: return "sequential";
     case Pattern::kProducerConsumer: return "producer-consumer";
     case Pattern::kPrivate: return "private-files";
+    case Pattern::kLockCycle: return "lock-cycle";
   }
   return "?";
 }

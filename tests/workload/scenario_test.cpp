@@ -218,6 +218,34 @@ TEST(Scenario, SequentialPatternCoversWholePool) {
             static_cast<std::size_t>(cfg.workload.num_files) * cfg.workload.file_blocks);
 }
 
+// A crash drops the lock cycle's in-flight callbacks. After the restart
+// re-registers, exactly one fresh loop carries on: the client cycles at its
+// peer's rate again, not at zero (a lost loop) or double (a stale one).
+TEST(Scenario, LockCycleResumesOnceAfterCrash) {
+  auto cfg = small_cfg();
+  cfg.workload.pattern = Pattern::kLockCycle;
+  // A slow control network and a short think time: the crash lands while
+  // client 0 has a lock request in flight.
+  cfg.control_net.latency = sim::millis(20);
+  cfg.workload.mean_interarrival_s = 0.002;
+  cfg.failures.add(3.0, FailureKind::kCrash, 0).add(4.0, FailureKind::kRestart, 0);
+  Scenario sc(cfg);
+  sc.setup();
+  sc.run_generators();
+  auto ok = [&sc](std::size_t c) {
+    return sc.client_ops(c).reads_ok + sc.client_ops(c).writes_ok;
+  };
+  sc.run_until_s(5.0);
+  const std::uint64_t crashed0 = ok(0);
+  const std::uint64_t peer0 = ok(1);
+  sc.run_until_s(10.0);
+  const std::uint64_t resumed = ok(0) - crashed0;
+  const std::uint64_t peer = ok(1) - peer0;
+  EXPECT_GT(peer, 20u);
+  EXPECT_GT(resumed, peer / 2);
+  EXPECT_LT(resumed, 3 * peer / 2);
+}
+
 TEST(Scenario, SlowSanFailureApplies) {
   auto cfg = small_cfg();
   cfg.failures.add(2.0, FailureKind::kSlowSan, 0, /*param_s=*/0.05);
