@@ -4,10 +4,12 @@
 // boring — malloc/free plus a relaxed counter bump — so the measured cost is
 // as close to the stock allocator as possible; the point is the COUNT, which
 // the zero-allocation gates in bench_steady assert on, not the speed of the
-// hooks themselves.
+// hooks themselves. A third counter tracks live bytes (bench_steady's
+// per-client heap gate).
 #include "alloc_hooks.hpp"
 
 #include <execinfo.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
+std::atomic<std::uint64_t> g_live_bytes{0};
 std::atomic<bool> g_trap{false};
 
 [[noreturn]] void trap_fire() {
@@ -32,12 +35,20 @@ std::atomic<bool> g_trap{false};
   std::abort();
 }
 
+void note_live(void* p) {
+  if (p != nullptr) {
+    g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  }
+}
+
 void* counted_alloc(std::size_t size) {
   if (g_trap.exchange(false, std::memory_order_relaxed)) {
     trap_fire();
   }
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
+  void* p = std::malloc(size != 0 ? size : 1);
+  note_live(p);
+  return p;
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
@@ -50,12 +61,14 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   if (posix_memalign(&p, align, size != 0 ? size : 1) != 0) {
     return nullptr;
   }
+  note_live(p);
   return p;
 }
 
 void counted_free(void* p) noexcept {
   if (p != nullptr) {
     g_frees.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
     std::free(p);
   }
 }
@@ -66,6 +79,7 @@ namespace stank::bench {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 std::uint64_t frees() { return g_frees.load(std::memory_order_relaxed); }
+std::uint64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
 void trap_next_alloc(bool armed) { g_trap.store(armed, std::memory_order_relaxed); }
 
 }  // namespace stank::bench

@@ -5,7 +5,8 @@
 // bench/CMakeLists.txt) but NOT into the libraries or tests, so production
 // code is unaffected. Benches snapshot allocs() around their steady-state
 // window and report the delta as an `allocs` entry in their JSON report
-// line; bench_steady turns a non-zero delta into a hard failure.
+// line; bench_steady turns a non-zero delta into a hard failure, and bounds
+// the live heap a registered client costs.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,11 @@ namespace stank::bench {
 [[nodiscard]] std::uint64_t allocs();
 // Number of global operator delete calls (all variants) since process start.
 [[nodiscard]] std::uint64_t frees();
+// Bytes currently held by live operator-new blocks, each counted at the size
+// the allocator gave it (malloc_usable_size: the request rounded up to the
+// allocator's chunk granularity). Deterministic for a given workload, so a
+// delta of it is an exact footprint figure, free of timing noise.
+[[nodiscard]] std::uint64_t live_bytes();
 
 // Debugging aid: while armed, the very next operator new call aborts the
 // process so a debugger/core dump shows the allocation site. Off by default.

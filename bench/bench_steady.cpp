@@ -1,4 +1,4 @@
-// Zero-allocation steady-state gates.
+// Zero-allocation steady-state gates, and a bound on per-client heap.
 //
 // Two hot paths must run without touching the global allocator once warm:
 //
@@ -16,8 +16,15 @@
 // THE BENCH (exit 1) if a single allocation happened. The counts are also
 // reported, so BENCH_core.json records the invariant and bench_diff.py can
 // flag any regression against it.
+//
+// client_heap bounds what a registered client costs the installation: live
+// heap bytes per client once N clients have registered, opened one file and
+// completed one lock/release. The paper's server keeps no lease state per
+// client, so this is transport, lock-table and client bookkeeping — the
+// figure the swarm's peak RSS scales with.
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "alloc_hooks.hpp"
 #include "bench_util.hpp"
@@ -125,6 +132,43 @@ std::uint64_t grant_release_allocs(std::uint64_t iters, std::uint64_t* completed
   return delta;
 }
 
+// Live heap per client: N clients register and open one file (setup), then
+// each completes one uncontended shared lock/release. Everything the
+// Scenario holds at that point, divided by N.
+constexpr std::size_t kHeapClients = 2000;
+// The measured value (4707 B/client with glibc malloc and libstdc++ on
+// x86-64) plus 10%. The count is exact, so growth past it is a real
+// footprint regression, not runner noise.
+constexpr double kHeapBytesPerClientBound = 5177.0;
+
+double client_heap_bytes() {
+  std::vector<CycleCtx> ctx(kHeapClients);
+  const std::uint64_t before = bench::live_bytes();
+  workload::ScenarioConfig cfg;
+  cfg.workload.num_clients = kHeapClients;
+  cfg.workload.num_files = 1;
+  cfg.workload.file_blocks = 4;
+  cfg.workload.run_seconds = 0.1;
+  workload::Scenario sc(cfg);
+  sc.setup();
+  sc.run_until_s(1.0);
+
+  for (std::size_t i = 0; i < kHeapClients; ++i) {
+    ctx[i].cl = &sc.client(i);
+    ctx[i].fd = sc.fd(i, 0);
+    ctx[i].remaining = 1;
+    cycle(&ctx[i]);
+  }
+  sc.run_until_s(2.0);
+  for (const CycleCtx& c : ctx) {
+    if (c.completed != 1) {
+      std::fprintf(stderr, "steady: a client failed its lock/release cycle\n");
+      return -1.0;
+    }
+  }
+  return static_cast<double>(bench::live_bytes() - before) / kHeapClients;
+}
+
 // The telemetry registry's hot path (add_to / gauge_max / record_hist on a
 // frozen obs::Counters) must also be allocation-free: it is called from
 // inside the sharded engine's window loop and ShardedNet::post(), both of
@@ -191,6 +235,18 @@ int main() {
                  "allocator after warm-up.\n");
   } else {
     std::printf("\nAll steady-state paths ran allocation-free.\n");
+  }
+
+  const double heap = client_heap_bytes();
+  const bool heap_ok = heap >= 0.0 && heap <= kHeapBytesPerClientBound;
+  std::printf("  client_heap  : %.1f live heap bytes per client after %zu clients register, "
+              "open one file and lock/release once (bound %.0f) %s\n",
+              heap, kHeapClients, kHeapBytesPerClientBound, heap_ok ? "[ok]" : "[FAIL]");
+  reporter.value("client_heap_bytes_per_client", heap);
+  if (!heap_ok) {
+    std::fprintf(stderr, "\nsteady: PER-CLIENT HEAP GATE FAILED — a registered client costs "
+                         "more live heap than the bound.\n");
+    rc = 1;
   }
   return rc;
 }

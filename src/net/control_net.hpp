@@ -182,9 +182,11 @@ class ControlNet {
   // Pending deliveries for one destination plus its single armed drain
   // timer. armed_ns is the bucket edge the timer fires at (kNotArmed when
   // no timer is pending); keeping exactly one timer per destination, always
-  // for the earliest bucket, is the whole batching win.
+  // for the earliest bucket, is the whole batching win. One item inline: a
+  // client destination rarely holds more than one datagram in flight, and
+  // the few busy destinations (servers) spill to a heap buffer they keep.
   struct DestQueue {
-    SmallVec<Item, 4> items;
+    SmallVec<Item, 1> items;
     sim::TimerId timer{0};
     std::int64_t armed_ns{kNotArmed};
   };

@@ -28,40 +28,47 @@ void ClientTransport::stop() {
   if (!started_) return;
   started_ = false;
   net_->detach(self_);
-  for (auto& [id, p] : pending_) {
-    clock_->cancel(p.timer);
-  }
-  pending_.clear();
+  abandon_pending();
 }
 
 MsgId ClientTransport::send_request(RequestBody body, ReplyHandler handler, bool lease_only) {
   STANK_ASSERT_MSG(started_, "send_request on stopped transport");
   STANK_ASSERT(handler != nullptr);
   const MsgId id{next_msg_++};
-  Pending p;
+  Pending& p = pending_.emplace_back();
+  p.id = id;
   p.body = std::move(body);
   p.handler = std::move(handler);
   p.first_send = clock_->now();
   p.lease_only = lease_only;
   p.epoch = epoch_;
   p.session_gen = session_gen_;
-  pending_.insert(id, std::move(p));
-  transmit(id);
+  transmit(p);
   return id;
 }
 
 void ClientTransport::abandon_pending() {
-  for (auto& [id, p] : pending_) {
+  for (Pending& p : pending_) {
     clock_->cancel(p.timer);
   }
   pending_.clear();
 }
 
-void ClientTransport::transmit(MsgId id) {
-  Pending* found = pending_.find(id);
-  STANK_ASSERT(found != nullptr);
-  Pending& p = *found;
+ClientTransport::Pending* ClientTransport::find_pending(MsgId id) {
+  for (Pending& p : pending_) {
+    if (p.id == id) return &p;
+  }
+  return nullptr;
+}
 
+ClientTransport::Pending ClientTransport::take_pending(Pending* p) {
+  Pending out = std::move(*p);
+  pending_.erase(p);
+  return out;
+}
+
+void ClientTransport::transmit(Pending& p) {
+  const MsgId id = p.id;
   Frame f;
   f.kind = FrameKind::kRequest;
   f.sender = self_;
@@ -87,7 +94,7 @@ void ClientTransport::transmit(MsgId id) {
   }
   ++p.transmissions;
   send_frame(server_, f);
-  arm_retry(id);
+  arm_retry(p);
 }
 
 void ClientTransport::send_frame(NodeId to, const Frame& f) {
@@ -99,17 +106,15 @@ void ClientTransport::send_frame(NodeId to, const Frame& f) {
   net_->send(self_, to, std::move(buf));
 }
 
-void ClientTransport::arm_retry(MsgId id) {
-  Pending& p = *pending_.find(id);
-  p.timer = clock_->schedule_after(cfg_.retransmit_timeout, [this, id]() {
-    Pending* found = pending_.find(id);
+void ClientTransport::arm_retry(Pending& p) {
+  p.timer = clock_->schedule_after(cfg_.retransmit_timeout, [this, id = p.id]() {
+    Pending* found = find_pending(id);
     if (found == nullptr) {
       return;  // already answered
     }
     if (found->transmissions > cfg_.max_retries) {
       // Delivery failure: report timeout and give up.
-      Pending p2 = std::move(*found);
-      pending_.erase(id);
+      Pending p2 = take_pending(found);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kReqTimeout, id.value(),
                      static_cast<std::uint64_t>(p2.transmissions));
@@ -120,7 +125,7 @@ void ClientTransport::arm_retry(MsgId id) {
       p2.handler(ev);
       return;
     }
-    transmit(id);
+    transmit(*found);
   });
 }
 
@@ -134,7 +139,7 @@ void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
 
   switch (f.kind) {
     case FrameKind::kAck: {
-      Pending* found = pending_.find(f.msg_id);
+      Pending* found = find_pending(f.msg_id);
       if (found == nullptr) {
         return;  // duplicate ACK for an already-completed request
       }
@@ -143,9 +148,8 @@ void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
         // retransmit/timeout machinery still resolves this request.
         return;
       }
-      Pending p = std::move(*found);
+      Pending p = take_pending(found);
       clock_->cancel(p.timer);
-      pending_.erase(f.msg_id);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kAckRecv, f.msg_id.value());
         rec_->span(obs::SpanKind::kRequestRtt, (clock_->now() - p.first_send).millis());
@@ -184,7 +188,7 @@ void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
       return;
     }
     case FrameKind::kNack: {
-      Pending* found = pending_.find(f.msg_id);
+      Pending* found = find_pending(f.msg_id);
       if (found == nullptr) {
         // Duplicated or delayed NACK for a request that no longer exists —
         // possibly from before a crash/recovery. Acting on it would re-latch
@@ -196,9 +200,8 @@ void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
         // like a stale ACK; retransmission/timeout resolves the request.
         return;
       }
-      Pending p = std::move(*found);
+      Pending p = take_pending(found);
       clock_->cancel(p.timer);
-      pending_.erase(f.msg_id);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kNackRecv, f.msg_id.value());
         rec_->span(obs::SpanKind::kRequestRtt, (clock_->now() - p.first_send).millis());
@@ -265,7 +268,8 @@ void ClientTransport::note_server_msg(const Frame& f) {
   // reply_cache_size newer server msgs overtake it, far beyond any real
   // spike; and the server's retry-then-suspect path bounds the damage to a
   // delivery failure, never a safety violation.)
-  if (f.msg_id.value() <= seen_low_water_ || seen_server_msgs_.contains(f.msg_id)) {
+  if (f.msg_id.value() <= seen_low_water_ ||
+      std::find(seen_order_.begin(), seen_order_.end(), f.msg_id) != seen_order_.end()) {
     // Duplicate (within the window or beyond it): ACKed again, not
     // re-delivered.
     if (rec_ != nullptr) {
@@ -282,15 +286,12 @@ void ClientTransport::note_server_msg(const Frame& f) {
     // low-water mark alone carries the dedup.
     seen_low_water_ = std::max(seen_low_water_, f.msg_id.value());
   } else if (seen_order_.size() < cfg_.reply_cache_size) {
-    seen_server_msgs_.insert(f.msg_id);
     seen_order_.push_back(f.msg_id);
   } else {
     // Window full: recycle the oldest ring slot in place. Steady state makes
-    // zero allocations here — the ring and the set both sit at their caps.
+    // zero allocations here — the ring sits at its cap.
     MsgId& oldest = seen_order_[seen_pos_];
     seen_low_water_ = std::max(seen_low_water_, oldest.value());
-    seen_server_msgs_.erase(oldest);
-    seen_server_msgs_.insert(f.msg_id);
     oldest = f.msg_id;
     seen_pos_ = (seen_pos_ + 1) % seen_order_.size();
   }

@@ -16,7 +16,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/flat_map.hpp"
+#include "common/small_vec.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
@@ -75,7 +75,6 @@ class ClientTransport {
       // New session epoch: the server-msg dedup window is keyed per epoch.
       // The new incarnation's id sequence is unrelated to the old one, so
       // both the window and its low-water mark start over.
-      seen_server_msgs_.clear();
       seen_order_.clear();
       seen_pos_ = 0;
       seen_low_water_ = 0;
@@ -99,6 +98,7 @@ class ClientTransport {
 
  private:
   struct Pending {
+    MsgId id;
     RequestBody body;
     ReplyHandler handler;
     sim::LocalTime first_send;
@@ -109,8 +109,14 @@ class ClientTransport {
     std::uint64_t session_gen{0};
   };
 
-  void transmit(MsgId id);
-  void arm_retry(MsgId id);
+  // The in-flight request with this id, or nullptr once it has concluded.
+  [[nodiscard]] Pending* find_pending(MsgId id);
+  // Moves the entry out of the list. Callers take the entry BEFORE running
+  // any callback: handlers re-enter send_request, which can grow the list
+  // and move every entry.
+  [[nodiscard]] Pending take_pending(Pending* p);
+  void transmit(Pending& p);
+  void arm_retry(Pending& p);
   void send_frame(NodeId to, const Frame& f);
   void handle_datagram(NodeId from, const Bytes& datagram);
   void note_server_msg(const Frame& f);
@@ -134,17 +140,19 @@ class ClientTransport {
   std::uint64_t next_msg_{1};
   bool started_{false};
 
-  // Flat table: at steady state the in-flight set is small and churns via
-  // balanced insert/erase, so capacity — and therefore memory — stays fixed.
-  FlatMap<MsgId, Pending> pending_;
+  // In-flight requests, searched linearly by id. A client rarely has more
+  // than one or two requests outstanding, so both live inline in the
+  // transport and only a burst (recovery reassertion, a crowd of opens)
+  // spills to the heap.
+  SmallVec<Pending, 2> pending_;
   // Recently seen server-msg ids, to suppress duplicate delivery while still
   // re-ACKing (the ACK may have been lost). The window is bounded
   // (reply_cache_size); ids evicted from it are covered by the monotone
   // low-water mark below, so a duplicate delayed past the window is still
-  // suppressed. Both reset when the epoch changes. The FIFO order lives in a
-  // fixed-capacity ring (a deque would hold a ~500-byte chunk block per
-  // client just to remember 8 ids) and the membership set in a flat table.
-  FlatSet<MsgId> seen_server_msgs_;
+  // suppressed. Both reset when the epoch changes. The window is a
+  // fixed-capacity FIFO ring scanned linearly (a deque would hold a
+  // ~500-byte chunk block per client just to remember 8 ids, and a hash set
+  // beside it would double the footprint).
   std::vector<MsgId> seen_order_;
   std::size_t seen_pos_{0};
   std::uint64_t seen_low_water_{0};

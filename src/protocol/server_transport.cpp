@@ -1,5 +1,6 @@
 #include "protocol/server_transport.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -9,7 +10,11 @@ namespace stank::protocol {
 
 ServerTransport::ServerTransport(net::ControlNet& net, sim::NodeClock& clock, NodeId self,
                                  metrics::Counters& counters, TransportConfig cfg)
-    : net_(&net), clock_(&clock), self_(self), counters_(&counters), cfg_(cfg) {}
+    : net_(&net), clock_(&clock), self_(self), counters_(&counters), cfg_(cfg) {
+  STANK_ASSERT_MSG(cfg_.reply_cache_size > 0,
+                   "reply_cache_size must be >= 1: it is the at-most-once window, and a "
+                   "server without one would re-execute every retransmitted request");
+}
 
 ServerTransport::~ServerTransport() {
   if (started_) {
@@ -32,6 +37,20 @@ void ServerTransport::stop() {
     clock_->cancel(m.timer);
   }
   out_msgs_.clear();
+}
+
+ServerTransport::Executed* ServerTransport::Session::find(MsgId id) {
+  if (id.value() > max_id) return nullptr;
+  // Newest first: a retransmit or a late respond() almost always targets one
+  // of the last few requests. The newest entry sits just before ring_pos
+  // (ring_pos is 0 until the ring fills, so that is then the back).
+  const std::size_t n = ring.size();
+  std::size_t i = ring_pos;
+  for (std::size_t k = 0; k < n; ++k) {
+    i = (i == 0 ? n : i) - 1;
+    if (ring[i].id == id) return &ring[i];
+  }
+  return nullptr;
 }
 
 ServerTransport::Session& ServerTransport::session(NodeId client, std::uint32_t epoch) {
@@ -76,12 +95,12 @@ void ServerTransport::handle_datagram(NodeId from, const Bytes& datagram) {
 
 void ServerTransport::handle_request(const Frame& f) {
   Session& s = session(f.sender, f.epoch);
-  if (std::optional<Frame>* cached = s.executed.find(f.msg_id)) {
-    if (cached->has_value()) {
+  if (const Executed* seen = s.find(f.msg_id)) {
+    if (seen->reply.has_value()) {
       // Retransmission of a completed request: re-send the cached reply,
       // unless the ACK gate has closed in the meantime — then the client
       // must see a NACK, not a lease-renewing ACK.
-      Frame reply = **cached;
+      Frame reply = *seen->reply;
       if (reply.kind == FrameKind::kAck && may_ack && !may_ack(f.sender)) {
         reply.kind = FrameKind::kNack;
         reply.body = std::monostate{};
@@ -97,14 +116,15 @@ void ServerTransport::handle_request(const Frame& f) {
     return;
   }
 
-  s.executed.try_emplace(f.msg_id);
+  s.max_id = std::max(s.max_id, f.msg_id.value());
   if (s.ring.size() < cfg_.reply_cache_size) {
-    s.ring.push_back(f.msg_id);
+    s.ring.push_back(Executed{f.msg_id, std::nullopt});
   } else {
-    // Recycle the oldest ring slot in place: no deque churn, no allocation
-    // once the session has seen reply_cache_size requests.
-    s.executed.erase(s.ring[s.ring_pos]);
-    s.ring[s.ring_pos] = f.msg_id;
+    // Recycle the oldest slot in place (FIFO by arrival): no allocation once
+    // the session has seen reply_cache_size requests.
+    Executed& oldest = s.ring[s.ring_pos];
+    oldest.id = f.msg_id;
+    oldest.reply.reset();
     s.ring_pos = (s.ring_pos + 1) % s.ring.size();
   }
 
@@ -144,10 +164,9 @@ void ServerTransport::respond(NodeId client, MsgId id, std::uint32_t epoch, bool
     f.kind = FrameKind::kNack;
   }
 
-  Session& s = session(client, epoch);
-  if (std::optional<Frame>* cached = s.executed.find(id)) {
-    STANK_ASSERT_MSG(!cached->has_value(), "double reply to one request");
-    *cached = f;
+  if (Executed* e = session(client, epoch).find(id)) {
+    STANK_ASSERT_MSG(!e->reply.has_value(), "double reply to one request");
+    e->reply = f;
   }
   send_reply_frame(client, f);
 }

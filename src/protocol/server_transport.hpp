@@ -88,15 +88,28 @@ class ServerTransport {
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
  private:
+  // One admitted request of a session: its id and the reply it was given
+  // (nullopt while the handler is still running).
+  struct Executed {
+    MsgId id;
+    std::optional<Frame> reply;
+  };
+  // The at-most-once window: one contiguous FIFO ring of the last
+  // reply_cache_size admitted requests. Once full the ring stops growing and
+  // every further request recycles the oldest slot, so the steady-state
+  // server path makes zero allocations per request. No index is needed:
+  // fresh ids skip the ring (max_id), and respond() and retransmits find
+  // their entry within the last few slots of a newest-first scan.
   struct Session {
-    // msg id -> cached reply frame; nullopt while the handler is running.
-    FlatMap<MsgId, std::optional<Frame>> executed;
-    // Fixed-capacity eviction ring (FIFO). Once the session has seen
-    // reply_cache_size requests the ring stops growing and every further
-    // request recycles one slot — the steady-state server path makes zero
-    // allocations per request.
-    std::vector<MsgId> ring;
-    std::size_t ring_pos{0};
+    std::vector<Executed> ring;
+    std::size_t ring_pos{0};  // oldest entry once the ring is full
+    // Highest id ever admitted. Client ids are monotone, so a request above
+    // it is fresh and skips the scan; only retransmits and reordered
+    // datagrams pay for one.
+    std::uint64_t max_id{0};
+
+    // The entry for `id`, or nullptr if it never arrived or was evicted.
+    [[nodiscard]] Executed* find(MsgId id);
   };
   struct OutMsg {
     NodeId client;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -398,6 +399,62 @@ TEST(ClientTransport, DedupLowWaterResetsOnNewEpoch) {
 }
 
 // Regression for the cross-incarnation replay hole found by fuzz_safety
+// More requests in flight than the pending list keeps inline, answered out
+// of order; one exhausts its retries and its handler re-enters send_request
+// (as the client's continuations do); stop() abandons the last. Every
+// handler fires exactly once, from the right cause, and none after stop().
+TEST(ClientTransport, PendingListPastInlineCapacity) {
+  Fixture f;  // 100 ms retransmit, 2 retries: a silent request times out at 300 ms
+  std::map<char, std::vector<ReplyOutcome>> fired;
+  bool stopped = false;
+  auto record = [&](char tag, const ReplyEvent& ev) {
+    EXPECT_FALSE(stopped) << tag << " fired after stop()";
+    fired[tag].push_back(ev.outcome);
+  };
+  MsgId d{0};
+  const MsgId a = f.transport.send_request(
+      GetAttrReq{FileId{1}}, [&](const ReplyEvent& ev) { record('a', ev); });
+  f.transport.send_request(GetAttrReq{FileId{2}}, [&](const ReplyEvent& ev) {
+    record('b', ev);
+    d = f.transport.send_request(GetAttrReq{FileId{4}},
+                                 [&](const ReplyEvent& ev2) { record('d', ev2); });
+  });
+  const MsgId c = f.transport.send_request(
+      GetAttrReq{FileId{3}}, [&](const ReplyEvent& ev) { record('c', ev); });
+  EXPECT_EQ(f.transport.pending_requests(), 3u);
+
+  auto ack = [&](MsgId id) {
+    Frame reply;
+    reply.kind = FrameKind::kAck;
+    reply.sender = NodeId{1};
+    reply.msg_id = id;
+    reply.epoch = 0;
+    reply.body = ReplyBody{OkReply{}};
+    f.net.send(NodeId{1}, NodeId{100}, encode(reply));
+  };
+  ack(c);
+  ack(a);
+  ack(a);  // duplicate: the request has already concluded
+  f.engine.run_until(sim::SimTime{} + sim::millis(1));
+  EXPECT_EQ(fired['c'], std::vector<ReplyOutcome>{ReplyOutcome::kAck});
+  EXPECT_EQ(fired['a'], std::vector<ReplyOutcome>{ReplyOutcome::kAck});
+  EXPECT_EQ(f.transport.pending_requests(), 1u);
+
+  f.engine.run_until(sim::SimTime{} + sim::millis(400));
+  EXPECT_EQ(fired['b'], std::vector<ReplyOutcome>{ReplyOutcome::kTimeout});
+  EXPECT_NE(d, MsgId{0});
+  EXPECT_EQ(f.transport.pending_requests(), 1u);  // d, sent from b's handler
+
+  stopped = true;
+  f.transport.stop();
+  EXPECT_EQ(f.transport.pending_requests(), 0u);
+  f.engine.run();
+  EXPECT_TRUE(fired['d'].empty());
+  for (char tag : {'a', 'b', 'c'}) {
+    EXPECT_EQ(fired[tag].size(), 1u) << tag;
+  }
+}
+
 // --byzantine (replay-old-session): epoch numbers restart at 1 in every
 // server incarnation, so a replayed server msg from a PREVIOUS incarnation
 // can collide with the live (epoch, msg_id) pair exactly. The incarnation

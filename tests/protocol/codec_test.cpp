@@ -78,6 +78,36 @@ TEST(Codec, EncodedSizeMatchesActualEncodingExactly) {
   }
 }
 
+// Pins the wire size of every frame a steady lock/renewal swarm sends; the
+// per-op control bytes in EXPERIMENTS.md M10 are sums of these. Every frame
+// starts with a 21-byte header: kind 1 + sender 4 + msg id 8 + epoch 4 +
+// server incarnation 4. The incarnation (4 B per frame) and the 64-bit grant
+// cookie (8 B on UnlockReq, DemandDoneReq, LockReply and LockGrant) are the
+// byzantine-hardening fields; dropping either would change these numbers.
+TEST(Codec, HotFrameSizesArePinned) {
+  Frame client_ack;
+  client_ack.kind = FrameKind::kClientAck;
+  Frame server_msg;
+  server_msg.kind = FrameKind::kServerMsg;
+
+  EXPECT_EQ(encoded_size(client_ack), 21u);  // header only
+  EXPECT_EQ(encoded_size(mk_reply(ReplyBody{}, FrameKind::kNack)), 21u);
+  EXPECT_EQ(encoded_size(mk_request(KeepAliveReq{})), 22u);      // + tag
+  EXPECT_EQ(encoded_size(mk_request(LockReq{FileId{9}, LockMode::kShared})),
+            27u);  // + tag, file, mode
+  EXPECT_EQ(encoded_size(mk_request(UnlockReq{FileId{9}, LockMode::kNone, 7, 0xC00C1E})),
+            39u);  // + tag, file, mode, gen, cookie
+  EXPECT_EQ(encoded_size(mk_request(DemandDoneReq{FileId{9}, LockMode::kNone, 7, 0xC00C1E})),
+            39u);
+  EXPECT_EQ(encoded_size(mk_reply(ReplyBody{OkReply{}})), 22u);  // + tag
+  EXPECT_EQ(encoded_size(mk_reply(ReplyBody{LockReply{true, LockMode::kShared, 7, 0xC00C1E}})),
+            36u);  // + tag, granted, mode, gen, cookie
+  server_msg.body = ServerBody{LockDemand{FileId{9}, LockMode::kNone, 7}};
+  EXPECT_EQ(encoded_size(server_msg), 31u);  // + tag, file, mode, gen
+  server_msg.body = ServerBody{LockGrant{FileId{9}, LockMode::kShared, 7, 0xC00C1E}};
+  EXPECT_EQ(encoded_size(server_msg), 39u);  // + tag, file, mode, gen, cookie
+}
+
 TEST(Codec, EncodeIntoReusesAndClearsTheBuffer) {
   Bytes buf;
   encode_into(mk_request(OpenReq{"/first/longer/path", true}), buf);

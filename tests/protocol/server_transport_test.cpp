@@ -207,6 +207,18 @@ TEST(ServerTransport, ReplyCacheEvictsOldEntries) {
   EXPECT_EQ(f.handler_calls, 21);
 }
 
+TEST(ServerTransportDeathTest, ZeroReplyCacheRejected) {
+  // Capacity 0 leaves no at-most-once window at all: every retransmit would
+  // re-execute. The constructor refuses it.
+  sim::Engine engine;
+  net::ControlNet net(engine, sim::Rng(1));
+  sim::NodeClock clock(engine, sim::LocalClock(1.0));
+  metrics::Counters counters;
+  EXPECT_DEATH(ServerTransport(net, clock, NodeId{1}, counters,
+                               TransportConfig{sim::local_millis(100), 2, 0}),
+               "at-most-once window");
+}
+
 TEST(ServerTransportDeathTest, DoubleReplyAborts) {
   Fixture f;
   f.transport.on_request = [](NodeId, std::uint32_t, const RequestBody&,
