@@ -136,10 +136,10 @@ std::uint64_t grant_release_allocs(std::uint64_t iters, std::uint64_t* completed
 // each completes one uncontended shared lock/release. Everything the
 // Scenario holds at that point, divided by N.
 constexpr std::size_t kHeapClients = 2000;
-// The measured value (4707 B/client with glibc malloc and libstdc++ on
+// The measured value (4696 B/client with glibc malloc and libstdc++ on
 // x86-64) plus 10%. The count is exact, so growth past it is a real
 // footprint regression, not runner noise.
-constexpr double kHeapBytesPerClientBound = 5177.0;
+constexpr double kHeapBytesPerClientBound = 5166.0;
 
 double client_heap_bytes() {
   std::vector<CycleCtx> ctx(kHeapClients);

@@ -37,6 +37,10 @@ void ServerTransport::stop() {
     clock_->cancel(m.timer);
   }
   out_msgs_.clear();
+  // The reply cache is volatile too: a retransmit reaching the next start()
+  // must be executed by the live server, not answered with a reply the
+  // stopped one gave (a grant or an ACK it can no longer stand behind).
+  sessions_.clear();
 }
 
 ServerTransport::Executed* ServerTransport::Session::find(MsgId id) {

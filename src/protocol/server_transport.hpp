@@ -38,6 +38,8 @@ class ServerTransport {
   ServerTransport& operator=(const ServerTransport&) = delete;
 
   void start();
+  // Detaches from the network and drops every outstanding server message
+  // and the whole reply cache.
   void stop();
 
   // Handle with which the request handler answers exactly once.

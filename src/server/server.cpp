@@ -26,39 +26,34 @@ Server::Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
   if (rec_ != nullptr) {
     rec_->bind_engine(engine);
     transport_.set_recorder(rec_);
-    locks_.set_recorder(rec_);
   }
   STANK_ASSERT_MSG(!cfg_.data_disks.empty(), "server needs at least one data disk");
   for (DiskId d : cfg_.data_disks) {
     allocators_.push_back(std::make_unique<BlockAllocator>(d, san_->disk(d).capacity()));
   }
-
-  switch (cfg_.strategy) {
-    case LeaseStrategy::kStorageTank:
-      authority_ = make_authority();
-      break;
-    case LeaseStrategy::kVLeases:
-      v_table_ = std::make_unique<baselines::VLeaseTable>(cfg_.lease.tau, counters_);
-      break;
-    case LeaseStrategy::kFrangipani:
-      hb_table_ = std::make_unique<baselines::HeartbeatTable>(cfg_.lease.tau, counters_);
-      break;
-  }
+  vol_ = make_volatile();
 }
 
-std::unique_ptr<core::ServerLeaseAuthority> Server::make_authority() {
-  core::ServerLeaseAuthority::Hooks hooks;
-  hooks.steal_locks = [this](NodeId c) {
-    if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
-      fence_client(c, [this, c]() { do_steal(c); });
-    } else {
-      do_steal(c);
+Server::Volatile Server::make_volatile() {
+  Volatile v;
+  v.locks.set_recorder(rec_);
+  switch (cfg_.strategy) {
+    case LeaseStrategy::kStorageTank: {
+      core::ServerLeaseAuthority::Hooks hooks;
+      hooks.steal_locks = [this](NodeId c) { on_lease_expired(c); };
+      v.authority = std::make_unique<core::ServerLeaseAuthority>(clock_, cfg_.lease, counters_,
+                                                                 std::move(hooks));
+      v.authority->set_recorder(rec_, cfg_.id);
+      break;
     }
-  };
-  auto authority = std::make_unique<core::ServerLeaseAuthority>(clock_, cfg_.lease, counters_,
-                                                                std::move(hooks));
-  authority->set_recorder(rec_, cfg_.id);
-  return authority;
+    case LeaseStrategy::kVLeases:
+      v.v_table = std::make_unique<baselines::VLeaseTable>(cfg_.lease.tau, counters_);
+      break;
+    case LeaseStrategy::kFrangipani:
+      v.hb_table = std::make_unique<baselines::HeartbeatTable>(cfg_.lease.tau, counters_);
+      break;
+  }
+  return v;
 }
 
 Server::~Server() {
@@ -75,8 +70,8 @@ void Server::start() {
     handle_request(client, epoch, body, r);
   };
   transport_.may_ack = [this](NodeId c) {
-    if (barred_.contains(c)) return false;
-    if (authority_ && !authority_->may_ack(c)) return false;
+    if (session_of(c).standing == Standing::kStolen) return false;
+    if (vol_.authority && !vol_.authority->may_ack(c)) return false;
     return true;
   };
   transport_.set_incarnation(incarnation_);
@@ -87,16 +82,16 @@ void Server::stop() {
   if (!started_) return;
   started_ = false;
   transport_.stop();
-  for (auto& [holder, timers] : demand_timers_) {
+  for (auto& [holder, timers] : vol_.demand_timers) {
     for (DemandTimer& dt : timers) {
       clock_.cancel(dt.timer);
     }
   }
-  demand_timers_.clear();
-  for (auto& [node, timer] : recovery_timers_) {
+  vol_.demand_timers.clear();
+  for (auto& [node, timer] : vol_.recovery_timers) {
     clock_.cancel(timer);
   }
-  recovery_timers_.clear();
+  vol_.recovery_timers.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +106,9 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 
   // "The server can neither acknowledge the message, which would renew the
   // client lease, nor execute a transaction on the client's behalf." (3.3)
-  if (barred_.contains(client) || (authority_ && !authority_->may_ack(client))) {
+  const ClientSession session = session_of(client);
+  if (session.standing == Standing::kStolen ||
+      (vol_.authority && !vol_.authority->may_ack(client))) {
     if (cfg_.nack_suspect) {
       r.nack();
     }
@@ -119,8 +116,7 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
     return;
   }
 
-  const Session* session = sessions_.find(client);
-  if (session == nullptr) {
+  if (session.epoch == 0) {
     // No session at all. After a restart that is the normal state for every
     // pre-crash client: tell it to re-register and reassert (section 6)
     // rather than NACKing it into cache invalidation.
@@ -131,7 +127,7 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
     }
     return;
   }
-  if (!session->valid || session->epoch != epoch) {
+  if (session.epoch != epoch) {
     // Stale epoch within a known session: the client is out of sync.
     r.nack();
     return;
@@ -165,13 +161,13 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
           // The paper's NULL message. For Storage Tank the server does
           // nothing lease-related here — the transport-level ACK is the
           // renewal. Frangipani's server must update its lease table.
-          if (hb_table_) {
-            hb_table_->renew(client, clock_.now());
+          if (vol_.hb_table) {
+            vol_.hb_table->renew(client, clock_.now());
           }
           r.ack(protocol::OkReply{});
         } else if constexpr (std::is_same_v<T, protocol::RenewObjReq>) {
-          if (v_table_) {
-            v_table_->renew(client, req.file, clock_.now());
+          if (vol_.v_table) {
+            vol_.v_table->renew(client, req.file, clock_.now());
           }
           r.ack(protocol::OkReply{});
         } else if constexpr (std::is_same_v<T, protocol::ReadDataReq>) {
@@ -188,16 +184,16 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 }
 
 void Server::handle_register(NodeId client, ServerTransport::Responder r) {
-  if (authority_ && !authority_->try_reregister(client)) {
+  if (vol_.authority && !vol_.authority->try_reregister(client)) {
     // Conservative protocol: the timer must run out first.
     r.nack();
     return;
   }
-  if (recovery_timers_.contains(client)) {
+  if (vol_.recovery_timers.contains(client)) {
     r.nack();
     return;
   }
-  if (fencing_.contains(client)) {
+  if (session_of(client).fencing) {
     // A fence -> steal for this client is still in flight (a disk has not
     // acked its fence yet). Admitting a new session now would let the
     // pending do_steal() land on the FRESH session's locks — the client
@@ -206,14 +202,12 @@ void Server::handle_register(NodeId client, ServerTransport::Responder r) {
     r.nack();
     return;
   }
-  barred_.erase(client);
-
-  Session& s = sessions_[client];
+  ClientSession& s = vol_.clients[client];
   ++s.epoch;
-  s.valid = true;
+  s.standing = Standing::kActive;
 
-  if (hb_table_) {
-    hb_table_->renew(client, clock_.now());
+  if (vol_.hb_table) {
+    vol_.hb_table->renew(client, clock_.now());
   }
   unfence_client(client);
   ++counters_.transactions;
@@ -256,7 +250,7 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
     return;
   }
   demand_scratch_.clear();
-  const auto outcome = locks_.acquire(client, req.file, req.mode, demand_scratch_);
+  const auto outcome = vol_.locks.acquire(client, req.file, req.mode, demand_scratch_);
   if (outcome == LockManager::AcquireOutcome::kQueued) {
     for (const auto& d : demand_scratch_) {
       issue_demand(d);
@@ -270,33 +264,33 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
     // Answer idempotently with the held mode under the CURRENT generation.
     // Bumping here would let the reply masquerade as a newer, weaker grant
     // and silently downgrade the client's stronger (possibly dirty) holding.
-    r.ack(protocol::LockReply{true, locks_.mode_of(client, req.file),
-                              lock_gen(client, req.file), lock_cookie(client, req.file)});
+    const GrantStamp g = grant_of(client, req.file);
+    r.ack(protocol::LockReply{true, vol_.locks.mode_of(client, req.file), g.gen, g.cookie});
     return;
   }
   ++counters_.lock_grants;
   // A fresh grant supersedes any outstanding demand against this client's
   // previous incarnation of the lock.
-  const std::uint32_t gen = bump_lock_gen(client, req.file);
-  const std::uint64_t cookie = new_lock_cookie(client, req.file);
+  const GrantStamp g = new_grant(client, req.file);
   cancel_demand_timer(client, req.file);
-  if (v_table_) {
-    v_table_->renew(client, req.file, clock_.now());
+  if (vol_.v_table) {
+    vol_.v_table->renew(client, req.file, clock_.now());
   }
-  r.ack(protocol::LockReply{true, req.mode, gen, cookie});
+  r.ack(protocol::LockReply{true, req.mode, g.gen, g.cookie});
 }
 
 void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
                            ServerTransport::Responder r) {
   ++counters_.transactions;
-  if (req.gen != lock_gen(client, req.file)) {
+  const GrantStamp g = grant_of(client, req.file);
+  if (req.gen != g.gen) {
     // Release of a superseded lock incarnation: a newer grant crossed this
     // request in flight. Ignore; the client will learn the new state from
     // the grant.
     r.ack(protocol::OkReply{});
     return;
   }
-  if (req.cookie != lock_cookie(client, req.file)) {
+  if (req.cookie != g.cookie) {
     // Right generation but wrong grant cookie: the sender never received the
     // grant it claims to renounce (forged or corrupted release). Acting on it
     // would free a lock whose grant is still in flight to the real holder.
@@ -304,9 +298,9 @@ void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
     return;
   }
   update_scratch_.clear();
-  locks_.set_mode(client, req.file, req.downgrade_to, update_scratch_);
-  if (v_table_ && req.downgrade_to == protocol::LockMode::kNone) {
-    v_table_->drop(client, req.file);
+  vol_.locks.set_mode(client, req.file, req.downgrade_to, update_scratch_);
+  if (vol_.v_table && req.downgrade_to == protocol::LockMode::kNone) {
+    vol_.v_table->drop(client, req.file);
   }
   apply_update(update_scratch_);
   r.ack(protocol::OkReply{});
@@ -315,13 +309,14 @@ void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
 void Server::handle_demand_done(NodeId client, const protocol::DemandDoneReq& req,
                                 ServerTransport::Responder r) {
   ++counters_.transactions;
-  if (req.gen != lock_gen(client, req.file)) {
+  const GrantStamp g = grant_of(client, req.file);
+  if (req.gen != g.gen) {
     // Compliance for a superseded lock incarnation; the state it describes
     // no longer exists.
     r.ack(protocol::OkReply{});
     return;
   }
-  if (req.cookie != lock_cookie(client, req.file)) {
+  if (req.cookie != g.cookie) {
     // Compliance without the grant cookie: forged (see handle_unlock). The
     // real holder's compliance, carrying the cookie, will settle the demand;
     // failing that, the demand timer escalates to suspect -> fence + steal.
@@ -329,13 +324,13 @@ void Server::handle_demand_done(NodeId client, const protocol::DemandDoneReq& re
     return;
   }
   update_scratch_.clear();
-  locks_.set_mode(client, req.file, req.new_mode, update_scratch_);
-  if (v_table_ && req.new_mode == protocol::LockMode::kNone) {
-    v_table_->drop(client, req.file);
+  vol_.locks.set_mode(client, req.file, req.new_mode, update_scratch_);
+  if (vol_.v_table && req.new_mode == protocol::LockMode::kNone) {
+    vol_.v_table->drop(client, req.file);
   }
   // Stop the compliance clock only once no demand remains outstanding
   // against this holder (a deeper demand may have been issued meanwhile).
-  if (!locks_.demanded_mode(client, req.file).has_value()) {
+  if (!vol_.locks.demanded_mode(client, req.file).has_value()) {
     cancel_demand_timer(client, req.file);
   } else {
     arm_demand_timer(client, req.file);
@@ -392,22 +387,21 @@ void Server::handle_reassert(NodeId client, const protocol::ReassertLockReq& req
   // compatible; an incompatible one indicates divergence and is refused
   // (that client must invalidate the file).
   demand_scratch_.clear();
-  if (locks_.acquire(client, req.file, req.mode, demand_scratch_) ==
+  if (vol_.locks.acquire(client, req.file, req.mode, demand_scratch_) ==
       LockManager::AcquireOutcome::kQueued) {
     // No other waiters can exist during grace, so the cancel cannot unblock
     // anyone; its update is discarded.
     update_scratch_.clear();
-    locks_.cancel_waiter(client, req.file, update_scratch_);
+    vol_.locks.cancel_waiter(client, req.file, update_scratch_);
     r.ack(protocol::ErrReply{ErrorCode::kLockConflict});
     return;
   }
   ++counters_.lock_grants;
-  const std::uint32_t gen = bump_lock_gen(client, req.file);
-  const std::uint64_t cookie = new_lock_cookie(client, req.file);
-  if (v_table_) {
-    v_table_->renew(client, req.file, clock_.now());
+  const GrantStamp g = new_grant(client, req.file);
+  if (vol_.v_table) {
+    vol_.v_table->renew(client, req.file, clock_.now());
   }
-  r.ack(protocol::LockReply{true, req.mode, gen, cookie});
+  r.ack(protocol::LockReply{true, req.mode, g.gen, g.cookie});
 }
 
 bool Server::in_grace() const {
@@ -419,26 +413,11 @@ void Server::crash() {
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), cfg_.id, obs::EventKind::kCrash);
   }
-  stop();  // drops transport, timers
-  // Volatile state is gone. Metadata, the allocator and the incarnation
+  stop();  // drops the transport and its timers
+  // Volatile state is gone (the old authority cancels its own timers as it
+  // goes). Metadata, the allocator, the cookie sequence and the incarnation
   // counter live on the server's private persistent storage.
-  locks_ = LockManager{};
-  locks_.set_recorder(rec_);
-  sessions_.clear();
-  barred_.clear();
-  fenced_clients_.clear();
-  fencing_.clear();
-  lock_gens_.clear();
-  if (authority_) {
-    // Rebuild the authority empty (its timers died with stop()).
-    authority_ = make_authority();
-  }
-  if (v_table_) {
-    v_table_ = std::make_unique<baselines::VLeaseTable>(cfg_.lease.tau, counters_);
-  }
-  if (hb_table_) {
-    hb_table_ = std::make_unique<baselines::HeartbeatTable>(cfg_.lease.tau, counters_);
-  }
+  vol_ = make_volatile();
 }
 
 void Server::restart() {
@@ -626,20 +605,18 @@ void Server::apply_update(const LockManager::Update& upd) {
 
 void Server::issue_demand(const LockManager::Demand& d) {
   ++counters_.lock_demands;
-  const std::uint32_t gen = lock_gen(d.holder, d.file);
-  const Session* session = sessions_.find(d.holder);
-  const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
+  const std::uint32_t gen = grant_of(d.holder, d.file).gen;
   transport_.send_server_msg(
-      d.holder, epoch, protocol::LockDemand{d.file, d.max_mode, gen},
+      d.holder, session_epoch(d.holder), protocol::LockDemand{d.file, d.max_mode, gen},
       [this, d, gen](bool delivered) {
         if (!delivered) {
           on_delivery_failure(d.holder);
           return;
         }
-        if (gen != lock_gen(d.holder, d.file)) {
+        if (gen != grant_of(d.holder, d.file).gen) {
           return;  // a grant superseded this demand while it was in flight
         }
-        if (!locks_.demanded_mode(d.holder, d.file).has_value()) {
+        if (!vol_.locks.demanded_mode(d.holder, d.file).has_value()) {
           // Compliance already arrived (it can overtake the transport-level
           // ACK of the demand itself): nothing left to time out.
           return;
@@ -658,7 +635,7 @@ void Server::arm_demand_timer(NodeId holder, FileId file) {
         }
         on_delivery_failure(holder);
       });
-  auto& timers = demand_timers_[holder];
+  auto& timers = vol_.demand_timers[holder];
   for (DemandTimer& dt : timers) {
     if (dt.file == file) {
       clock_.cancel(dt.timer);
@@ -669,21 +646,12 @@ void Server::arm_demand_timer(NodeId holder, FileId file) {
   timers.push_back(DemandTimer{file, timer});
 }
 
-std::uint32_t Server::lock_gen(NodeId client, FileId file) const {
-  const std::uint32_t* gen = lock_gens_.find(DemandKey{client, file});
-  return gen == nullptr ? 0 : *gen;
+Server::GrantStamp Server::grant_of(NodeId client, FileId file) const {
+  const GrantStamp* g = vol_.grants.find(GrantKey{client, file});
+  return g == nullptr ? GrantStamp{} : *g;
 }
 
-std::uint32_t Server::bump_lock_gen(NodeId client, FileId file) {
-  return ++lock_gens_[DemandKey{client, file}];
-}
-
-std::uint64_t Server::lock_cookie(NodeId client, FileId file) const {
-  const std::uint64_t* c = lock_cookies_.find(DemandKey{client, file});
-  return c == nullptr ? 0 : *c;
-}
-
-std::uint64_t Server::new_lock_cookie(NodeId client, FileId file) {
+Server::GrantStamp Server::new_grant(NodeId client, FileId file) {
   // splitmix64 of a private sequence; incarnation folded in so cookies never
   // repeat across server reboots. Stands in for a CSPRNG (see server.hpp).
   std::uint64_t z = (++cookie_seq_ + (static_cast<std::uint64_t>(incarnation_) << 48)) +
@@ -692,21 +660,21 @@ std::uint64_t Server::new_lock_cookie(NodeId client, FileId file) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   if (z == 0) z = 1;  // 0 means "no cookie issued"
-  lock_cookies_[DemandKey{client, file}] = z;
-  return z;
+  GrantStamp& g = vol_.grants[GrantKey{client, file}];
+  ++g.gen;
+  g.cookie = z;
+  return g;
 }
 
 void Server::deliver_grant(const LockManager::Grant& g) {
   ++counters_.lock_grants;
-  const std::uint32_t gen = bump_lock_gen(g.client, g.file);
-  const std::uint64_t cookie = new_lock_cookie(g.client, g.file);
+  const GrantStamp stamp = new_grant(g.client, g.file);
   cancel_demand_timer(g.client, g.file);
-  if (v_table_) {
-    v_table_->renew(g.client, g.file, clock_.now());
+  if (vol_.v_table) {
+    vol_.v_table->renew(g.client, g.file, clock_.now());
   }
-  const Session* session = sessions_.find(g.client);
-  const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
-  transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gen, cookie},
+  transport_.send_server_msg(g.client, session_epoch(g.client),
+                             protocol::LockGrant{g.file, g.mode, stamp.gen, stamp.cookie},
                              [this, g](bool delivered) {
                                if (!delivered) {
                                  on_delivery_failure(g.client);
@@ -715,7 +683,7 @@ void Server::deliver_grant(const LockManager::Grant& g) {
 }
 
 void Server::cancel_demand_timer(NodeId holder, FileId file) {
-  auto* timers = demand_timers_.find(holder);
+  auto* timers = vol_.demand_timers.find(holder);
   if (timers == nullptr) return;
   for (DemandTimer& dt : *timers) {
     if (dt.file == file) {
@@ -725,17 +693,17 @@ void Server::cancel_demand_timer(NodeId holder, FileId file) {
     }
   }
   if (timers->empty()) {
-    demand_timers_.erase(holder);
+    vol_.demand_timers.erase(holder);
   }
 }
 
 void Server::cancel_demand_timers(NodeId holder) {
-  auto* timers = demand_timers_.find(holder);
+  auto* timers = vol_.demand_timers.find(holder);
   if (timers == nullptr) return;
   for (DemandTimer& dt : *timers) {
     clock_.cancel(dt.timer);
   }
-  demand_timers_.erase(holder);
+  vol_.demand_timers.erase(holder);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,7 +730,7 @@ Result<FileId> Server::preallocate(const std::string& path, std::uint64_t size) 
 }
 
 void Server::on_delivery_failure(NodeId client) {
-  if (barred_.contains(client)) {
+  if (session_of(client).standing == Standing::kStolen) {
     return;  // already stolen; nothing left to protect
   }
   switch (cfg_.recovery) {
@@ -773,7 +741,7 @@ void Server::on_delivery_failure(NodeId client) {
       return;
     case RecoveryMode::kFenceOnly:
       ++counters_.fences_issued;
-      fence_client(client, [this, client]() { do_steal(client); });
+      fence_client(client);
       return;
     case RecoveryMode::kLeaseOnly:
     case RecoveryMode::kLeaseAndFence:
@@ -783,71 +751,82 @@ void Server::on_delivery_failure(NodeId client) {
 }
 
 void Server::begin_recovery(NodeId client) {
-  if (authority_) {
-    authority_->on_delivery_failure(client);  // idempotent
+  if (vol_.authority) {
+    vol_.authority->on_delivery_failure(client);  // idempotent
     return;
   }
   // V / Frangipani: wait out the lease recorded in the server-side table,
   // then re-check — a heartbeat or renewal may have arrived in the interim.
-  if (recovery_timers_.contains(client)) {
+  if (vol_.recovery_timers.contains(client)) {
     return;
   }
   sim::LocalTime steal_at;
   const sim::LocalTime now = clock_.now();
-  if (hb_table_) {
-    steal_at = hb_table_->steal_time(client, now, cfg_.lease.epsilon);
-  } else if (v_table_) {
+  if (vol_.hb_table) {
+    steal_at = vol_.hb_table->steal_time(client, now, cfg_.lease.epsilon);
+  } else if (vol_.v_table) {
     steal_at = now;
-    for (FileId f : locks_.files_of(client)) {
-      steal_at = std::max(steal_at, v_table_->steal_time(client, f, now, cfg_.lease.epsilon));
+    for (FileId f : vol_.locks.files_of(client)) {
+      steal_at =
+          std::max(steal_at, vol_.v_table->steal_time(client, f, now, cfg_.lease.epsilon));
     }
   } else {
     steal_at = now + core::server_wait(cfg_.lease.tau, cfg_.lease.epsilon);
   }
   ++counters_.lease_ops;
   sim::LocalDuration delay = steal_at > now ? steal_at - now : sim::LocalDuration{1};
-  recovery_timers_[client] = clock_.schedule_after(delay, [this, client]() {
-    recovery_timers_.erase(client);
+  vol_.recovery_timers[client] = clock_.schedule_after(delay, [this, client]() {
+    vol_.recovery_timers.erase(client);
     const sim::LocalTime t = clock_.now();
     // Re-check: did the client legitimately renew while we waited?
-    if (hb_table_ && hb_table_->valid(client, t)) {
+    if (vol_.hb_table && vol_.hb_table->valid(client, t)) {
       return;
     }
-    if (v_table_) {
+    if (vol_.v_table) {
       bool any_valid = false;
-      for (FileId f : locks_.files_of(client)) {
-        any_valid = any_valid || v_table_->valid(client, f, t);
+      for (FileId f : vol_.locks.files_of(client)) {
+        any_valid = any_valid || vol_.v_table->valid(client, f, t);
       }
       if (any_valid) {
         begin_recovery(client);  // re-arm at the extended expiry
         return;
       }
     }
-    if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
-      fence_client(client, [this, client]() { do_steal(client); });
-    } else {
-      do_steal(client);
-    }
+    on_lease_expired(client);
   });
 }
 
-void Server::fence_client(NodeId client, std::function<void()> then) {
+void Server::on_lease_expired(NodeId client) {
+  if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
+    fence_client(client);
+  } else {
+    do_steal(client);
+  }
+}
+
+void Server::fence_client(NodeId client) {
   ++counters_.fences_issued;
-  fenced_clients_.insert(client);
-  fencing_.insert(client);
+  vol_.clients[client].fencing = true;
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kFence);
   }
-  fence_round(client, std::move(then));
+  fence_round(client);
 }
 
-void Server::fence_round(NodeId client, std::function<void()> then) {
+bool Server::fence_live(NodeId client, std::uint32_t inc) const {
+  return started_ && incarnation_ == inc && session_of(client).fencing;
+}
+
+void Server::fence_round(NodeId client) {
   auto fan = std::make_shared<FanIn>();
   fan->expected = cfg_.data_disks.size();
-  fan->done = [this, client, then = std::move(then)](Status st) mutable {
+  fan->done = [this, client, inc = incarnation_](Status st) {
     if (st.is_ok()) {
-      fencing_.erase(client);
-      if (then) then();
+      // A fence sent before a crash can complete after it; the incarnation
+      // that sent it is gone and its successor never suspected the client.
+      if (fence_live(client, inc)) {
+        do_steal(client);
+      }
       return;
     }
     // A disk that did not acknowledge the fence is NOT fenced. Stealing the
@@ -862,17 +841,11 @@ void Server::fence_round(NodeId client, std::function<void()> then) {
       rec_->record(engine_->now(), client, obs::EventKind::kFenceRetry,
                    static_cast<std::uint64_t>(st.error()));
     }
-    const std::uint32_t inc = incarnation_;
-    clock_.schedule_after(sim::local_millis(100),
-                          [this, client, inc, then = std::move(then)]() mutable {
-                            // A crash/restart dropped the whole fence context
-                            // (a new incarnation re-fences from scratch).
-                            if (!started_ || incarnation_ != inc ||
-                                !fencing_.contains(client)) {
-                              return;
-                            }
-                            fence_round(client, std::move(then));
-                          });
+    clock_.schedule_after(sim::local_millis(100), [this, client, inc]() {
+      if (fence_live(client, inc)) {
+        fence_round(client);
+      }
+    });
   };
   for (DiskId d : cfg_.data_disks) {
     san_->submit_admin(storage::AdminRequest{cfg_.id, d, storage::AdminOp::kFence, client},
@@ -894,12 +867,8 @@ void Server::unfence_client(NodeId client) {
   // (incarnation << 32) | epoch, since epoch numbers alone repeat across
   // server reboots — so commands any earlier session left crawling through
   // the SAN stay locked out forever.
-  fenced_clients_.erase(client);
-  const Session* session = sessions_.find(client);
   const std::uint64_t key =
-      session == nullptr
-          ? 0
-          : (static_cast<std::uint64_t>(incarnation_) << 32) | session->epoch;
+      (static_cast<std::uint64_t>(incarnation_) << 32) | session_epoch(client);
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kUnfence, key);
   }
@@ -911,37 +880,36 @@ void Server::unfence_client(NodeId client) {
 }
 
 void Server::do_steal(NodeId client) {
-  fencing_.erase(client);
-  if (barred_.contains(client)) {
+  ClientSession& session = vol_.clients[client];
+  session.fencing = false;
+  if (session.standing == Standing::kStolen) {
     return;
   }
-  barred_.insert(client);
-  if (Session* session = sessions_.find(client); session != nullptr) {
-    session->valid = false;
-  }
+  session.standing = Standing::kStolen;
   transport_.cancel_server_msgs(client);
   cancel_demand_timers(client);
-  if (sim::TimerId* rt = recovery_timers_.find(client); rt != nullptr) {
+  if (sim::TimerId* rt = vol_.recovery_timers.find(client); rt != nullptr) {
     clock_.cancel(*rt);
-    recovery_timers_.erase(client);
+    vol_.recovery_timers.erase(client);
   }
 
   affected_scratch_.clear();
   update_scratch_.clear();
-  locks_.steal_all(client, affected_scratch_, update_scratch_);
+  vol_.locks.steal_all(client, affected_scratch_, update_scratch_);
   counters_.lock_steals += affected_scratch_.size();
   for (FileId f : affected_scratch_) {
-    bump_lock_gen(client, f);  // any in-flight compliance from the victim is now stale
+    // Any in-flight compliance from the victim is now stale.
+    ++vol_.grants[GrantKey{client, f}].gen;
   }
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockSteal, client.value(),
                  affected_scratch_.size());
   }
-  if (v_table_) {
-    v_table_->drop_client(client);
+  if (vol_.v_table) {
+    vol_.v_table->drop_client(client);
   }
-  if (hb_table_) {
-    hb_table_->drop(client);
+  if (vol_.hb_table) {
+    vol_.hb_table->drop(client);
   }
   apply_update(update_scratch_);
 }
@@ -949,22 +917,22 @@ void Server::do_steal(NodeId client) {
 // ---------------------------------------------------------------------------
 // Helpers
 
-bool Server::barred(NodeId client) const { return barred_.contains(client); }
+Server::ClientSession Server::session_of(NodeId client) const {
+  const ClientSession* s = vol_.clients.find(client);
+  return s == nullptr ? ClientSession{} : *s;
+}
 
 bool Server::session_valid(NodeId client) const {
-  const Session* s = sessions_.find(client);
-  return s != nullptr && s->valid;
+  const ClientSession s = session_of(client);
+  return s.epoch > 0 && s.standing == Standing::kActive;
 }
 
-std::uint32_t Server::session_epoch(NodeId client) const {
-  const Session* s = sessions_.find(client);
-  return s == nullptr ? 0 : s->epoch;
-}
+std::uint32_t Server::session_epoch(NodeId client) const { return session_of(client).epoch; }
 
 std::size_t Server::lease_state_bytes() const {
-  if (authority_) return authority_->state_bytes();
-  if (v_table_) return v_table_->state_bytes();
-  if (hb_table_) return hb_table_->state_bytes();
+  if (vol_.authority) return vol_.authority->state_bytes();
+  if (vol_.v_table) return vol_.v_table->state_bytes();
+  if (vol_.hb_table) return vol_.hb_table->state_bytes();
   return 0;
 }
 

@@ -100,9 +100,9 @@ class Server {
   [[nodiscard]] NodeId id() const { return cfg_.id; }
   [[nodiscard]] metrics::Counters& counters() { return counters_; }
   [[nodiscard]] const metrics::Counters& counters() const { return counters_; }
-  [[nodiscard]] LockManager& locks() { return locks_; }
+  [[nodiscard]] LockManager& locks() { return vol_.locks; }
   [[nodiscard]] Metadata& metadata() { return metadata_; }
-  [[nodiscard]] const core::ServerLeaseAuthority& authority() const { return *authority_; }
+  [[nodiscard]] const core::ServerLeaseAuthority& authority() const { return *vol_.authority; }
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
   // Bytes of lease bookkeeping currently held, whatever the strategy — the
@@ -116,10 +116,11 @@ class Server {
   // (failure-injection hook for tests/benches).
   void inject_delivery_failure(NodeId client);
 
-  // Fail-stop server crash: volatile state (locks, sessions, lease timers,
-  // lock generations) is lost; metadata and the allocator live on the
-  // server's private persistent storage and survive. restart() begins a new
-  // incarnation with a grace period for lock reassertion (section 6).
+  // Fail-stop server crash: volatile state (locks, sessions, grants, lease
+  // and demand timers) and the transport's reply cache are lost; metadata
+  // and the allocator live on the server's private persistent storage and
+  // survive. restart() begins a new incarnation with a grace period for
+  // lock reassertion (section 6).
   void crash();
   void restart();
   [[nodiscard]] std::uint32_t incarnation() const { return incarnation_; }
@@ -131,24 +132,66 @@ class Server {
   Result<FileId> preallocate(const std::string& path, std::uint64_t size);
 
  private:
-  struct Session {
-    std::uint32_t epoch{0};
-    bool valid{false};
+  enum class Standing : std::uint8_t {
+    kActive,
+    kStolen,  // locks stolen; served again only after re-registering
   };
-  struct DemandKey {
+  // Everything the server keeps about one client. Epoch 0 means it has not
+  // registered with this incarnation: the record then exists only to note a
+  // steal or a fence in flight.
+  struct ClientSession {
+    std::uint32_t epoch{0};
+    Standing standing{Standing::kActive};
+    // A fence -> steal is still in flight (some disk has not acked its
+    // fence). Registration is refused meanwhile: a new session admitted now
+    // would have its locks swept by the pending do_steal().
+    bool fencing{false};
+  };
+  struct GrantKey {
     NodeId holder;
     FileId file;
-    friend bool operator==(const DemandKey&, const DemandKey&) = default;
+    friend bool operator==(const GrantKey&, const GrantKey&) = default;
   };
-  struct DemandKeyHash {
-    std::size_t operator()(const DemandKey& k) const {
+  struct GrantKeyHash {
+    std::size_t operator()(const GrantKey& k) const {
       return std::hash<std::uint64_t>{}((static_cast<std::uint64_t>(k.holder.value()) << 32) |
                                         k.file.value());
     }
   };
+  // The latest grant of a (client, file) lock.
+  //  * gen: bumped by every grant and by steals, so compliance/release
+  //    messages that crossed a newer grant in flight are recognizably stale
+  //    (see protocol/messages.hpp).
+  //  * cookie: a fresh unguessable value issued with every grant and
+  //    required on UnlockReq/DemandDoneReq. Generations alone are guessable
+  //    counters, so a client could forge a release for a grant still in
+  //    flight to it and the server would re-grant the lock while the
+  //    original holder later installs the late grant and writes — the forged
+  //    lock-claim hole tools/fuzz_safety --byzantine found. 0 = none issued.
+  struct GrantStamp {
+    std::uint32_t gen{0};
+    std::uint64_t cookie{0};
+  };
   struct DemandTimer {
     FileId file;
     sim::TimerId timer{0};
+  };
+  // Everything a crash loses. The constructor and crash() both build it
+  // through make_volatile(), so a crash forgets it with one assignment.
+  struct Volatile {
+    LockManager locks;
+    FlatMap<NodeId, ClientSession> clients;
+    FlatMap<GrantKey, GrantStamp, GrantKeyHash> grants;
+    // Compliance timers, grouped per holder so a client-wide cancel (steal,
+    // re-registration) is O(that client's demands).
+    FlatMap<NodeId, SmallVec<DemandTimer, 2>> demand_timers;
+    // Lease-expiry recovery timers for the V/Frangipani strategies (the
+    // Storage Tank authority manages its own).
+    FlatMap<NodeId, sim::TimerId> recovery_timers;
+    // Lease machinery: exactly one of these is set, by strategy.
+    std::unique_ptr<core::ServerLeaseAuthority> authority;
+    std::unique_ptr<baselines::VLeaseTable> v_table;
+    std::unique_ptr<baselines::HeartbeatTable> hb_table;
   };
 
   // Request dispatch.
@@ -172,7 +215,7 @@ class Server {
   void handle_write_data(NodeId client, const protocol::WriteDataReq&,
                          protocol::ServerTransport::Responder r);
 
-  [[nodiscard]] std::unique_ptr<core::ServerLeaseAuthority> make_authority();
+  [[nodiscard]] Volatile make_volatile();
 
   // Locking plumbing.
   void apply_update(const LockManager::Update& upd);
@@ -181,22 +224,29 @@ class Server {
   void cancel_demand_timer(NodeId holder, FileId file);
   void cancel_demand_timers(NodeId holder);
   void arm_demand_timer(NodeId holder, FileId file);
-  [[nodiscard]] std::uint32_t lock_gen(NodeId client, FileId file) const;
-  std::uint32_t bump_lock_gen(NodeId client, FileId file);
-  [[nodiscard]] std::uint64_t lock_cookie(NodeId client, FileId file) const;
-  std::uint64_t new_lock_cookie(NodeId client, FileId file);
+  [[nodiscard]] GrantStamp grant_of(NodeId client, FileId file) const;
+  // Records a fresh grant: the next generation with a new cookie.
+  GrantStamp new_grant(NodeId client, FileId file);
 
   // Recovery.
   void on_delivery_failure(NodeId client);
   void begin_recovery(NodeId client);  // applies cfg_.recovery
-  void fence_client(NodeId client, std::function<void()> then);
+  // The client's lease has provably expired: steal, after a fence if the
+  // recovery mode asks for one.
+  void on_lease_expired(NodeId client);
+  // Fences the client at every data disk, then steals its locks.
+  void fence_client(NodeId client);
   // One fence attempt across all data disks; re-arms itself until every disk
-  // acks, then runs `then` (the steal). See fence_client.
-  void fence_round(NodeId client, std::function<void()> then);
+  // acks, then steals. See fence_client.
+  void fence_round(NodeId client);
+  // A fence round of incarnation `inc` may still act: the server has neither
+  // crashed since nor stolen from the client (the steal ends the fence).
+  [[nodiscard]] bool fence_live(NodeId client, std::uint32_t inc) const;
   void unfence_client(NodeId client);
   void do_steal(NodeId client);
 
-  [[nodiscard]] bool barred(NodeId client) const;
+  // The client's record, or a default (unregistered, active) one.
+  [[nodiscard]] ClientSession session_of(NodeId client) const;
 
   [[nodiscard]] std::uint64_t now_ns() const;
   [[nodiscard]] BlockAllocator* allocator_with_space(std::uint64_t blocks);
@@ -214,46 +264,15 @@ class Server {
   metrics::Counters counters_;
   protocol::ServerTransport transport_;
   Metadata metadata_;
-  LockManager locks_;
   std::vector<std::unique_ptr<BlockAllocator>> allocators_;
+  Volatile vol_;
 
-  // Lease machinery (by strategy).
-  std::unique_ptr<core::ServerLeaseAuthority> authority_;
-  std::unique_ptr<baselines::VLeaseTable> v_table_;
-  std::unique_ptr<baselines::HeartbeatTable> hb_table_;
-  // Clients whose sessions were invalidated by a steal; they must
-  // re-register before being served again.
-  FlatSet<NodeId> barred_;
-  // Lease-expiry recovery timers for the V/Frangipani strategies (the
-  // Storage Tank authority manages its own).
-  FlatMap<NodeId, sim::TimerId> recovery_timers_;
-  // Clients currently fenced at the data disks.
-  FlatSet<NodeId> fenced_clients_;
-  // Clients with a fence -> steal still in flight (some disk has not acked
-  // its fence). Registration is refused for them: a new session admitted now
-  // would have its locks swept by the pending do_steal().
-  FlatSet<NodeId> fencing_;
-
-  FlatMap<NodeId, Session> sessions_;
   // Persistent across crashes (kept on the server's private storage).
   std::uint32_t incarnation_{1};
   sim::LocalTime grace_until_{};
-  // Compliance timers, grouped per holder so a client-wide cancel (steal,
-  // re-registration) is O(that client's demands).
-  FlatMap<NodeId, SmallVec<DemandTimer, 2>> demand_timers_;
-  // Per-(client, file) lock generation: bumped by every grant and by steals,
-  // so compliance/release messages that crossed a newer grant in flight are
-  // recognizably stale (see protocol/messages.hpp).
-  FlatMap<DemandKey, std::uint32_t, DemandKeyHash> lock_gens_;
-  // Per-(client, file) grant cookie: a fresh unguessable value issued with
-  // every grant and required on UnlockReq/DemandDoneReq. Generations alone
-  // are guessable counters, so a client could forge a release for a grant
-  // still in flight to it and the server would re-grant the lock while the
-  // original holder later installs the late grant and writes — the forged
-  // lock-claim hole tools/fuzz_safety --byzantine found. Here a counter mixed
-  // through splitmix64 stands in for the CSPRNG a real server would use; the
-  // model only needs clients to be unable to predict it.
-  FlatMap<DemandKey, std::uint64_t, DemandKeyHash> lock_cookies_;
+  // Grant cookies are this counter mixed through splitmix64, standing in for
+  // the CSPRNG a real server would use; the model only needs clients to be
+  // unable to predict them.
   std::uint64_t cookie_seq_{0};
   // Handler-loop scratch: lock-table results are appended here and consumed
   // in place, so steady-state requests reuse capacity instead of returning

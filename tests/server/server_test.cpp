@@ -62,13 +62,18 @@ struct Fixture {
   // Sends a request and runs the sim until its reply arrives (or 2s pass).
   std::optional<Frame> call(protocol::RequestBody body, NodeId from = NodeId{100},
                             std::optional<std::uint32_t> use_epoch = std::nullopt) {
+    return call_as(MsgId{next_msg++}, std::move(body), from, use_epoch);
+  }
+
+  // As call(), under an explicit msg id (a retransmission reuses one).
+  std::optional<Frame> call_as(MsgId id, protocol::RequestBody body, NodeId from = NodeId{100},
+                               std::optional<std::uint32_t> use_epoch = std::nullopt) {
     Frame f;
     f.kind = FrameKind::kRequest;
     f.sender = from;
-    f.msg_id = MsgId{next_msg++};
+    f.msg_id = id;
     f.epoch = use_epoch.value_or(epoch);
     f.body = std::move(body);
-    const MsgId id = f.msg_id;
     net.send(from, NodeId{1}, protocol::encode(f));
     const auto deadline = engine.now() + sim::seconds(2);
     while (engine.now() < deadline) {
@@ -378,6 +383,81 @@ TEST(Server, ReregisterAfterStealUnfences) {
   EXPECT_EQ(new_epoch, 2u);
   f.run_for(0.01);
   EXPECT_FALSE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
+}
+
+// A steal can precede any registration (the client's first message was
+// undeliverable). The server must then NACK it like any stolen client until
+// it registers, and registration must start its first session at epoch 1.
+TEST(Server, StealWithoutSessionNacksUntilRegistered) {
+  auto cfg = Fixture::make_cfg();
+  cfg.recovery = RecoveryMode::kNaiveSteal;
+  Fixture f(cfg);
+  f.server->inject_delivery_failure(NodeId{100});
+  auto r = f.call(protocol::KeepAliveReq{});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, FrameKind::kNack);
+  EXPECT_FALSE(f.server->session_valid(NodeId{100}));
+
+  f.do_register();
+  EXPECT_EQ(f.epoch, 1u);
+  EXPECT_TRUE(f.server->session_valid(NodeId{100}));
+  r = f.call(protocol::KeepAliveReq{});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, FrameKind::kAck);
+}
+
+// The reply cache is volatile: a request retransmitted across a server crash
+// must not be answered with the previous incarnation's cached reply (here a
+// grant the new incarnation never made), but like any pre-crash traffic.
+TEST(Server, RetransmitAfterRestartGetsStaleSession) {
+  Fixture f;
+  f.do_register();  // msg 1
+  auto file = f.server->preallocate("/f", 64).value();
+  const MsgId lock_msg{f.next_msg};
+  auto r = f.call(protocol::LockReq{file, LockMode::kExclusive});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_TRUE(std::get<protocol::LockReply>(std::get<protocol::ReplyBody>(r->body)).granted);
+
+  f.server->crash();
+  f.server->restart();
+  f.rx.clear();
+  r = f.call_as(lock_msg, protocol::LockReq{file, LockMode::kExclusive});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->kind, FrameKind::kAck);
+  const auto& body = std::get<protocol::ReplyBody>(r->body);
+  ASSERT_TRUE(std::holds_alternative<protocol::ErrReply>(body));
+  EXPECT_EQ(std::get<protocol::ErrReply>(body).code, ErrorCode::kStaleSession);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+}
+
+// A fence issued by one incarnation and completed after it crashed must not
+// steal from the next: the client would be NACKed (driven to invalidate its
+// cache) instead of being told to re-register and reassert like every other
+// pre-crash client.
+TEST(Server, FenceCompletionAfterCrashDoesNotBarClient) {
+  auto cfg = Fixture::make_cfg();
+  cfg.recovery = RecoveryMode::kFenceOnly;
+  Fixture f(cfg);
+  f.do_register();
+  f.server->inject_delivery_failure(NodeId{100});
+  f.server->crash();
+  f.run_for(0.02);  // the SAN completes the fence while the server is down
+  EXPECT_TRUE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
+  f.server->restart();
+
+  auto r = f.call(protocol::KeepAliveReq{});
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->kind, FrameKind::kAck);
+  const auto& body = std::get<protocol::ReplyBody>(r->body);
+  ASSERT_TRUE(std::holds_alternative<protocol::ErrReply>(body));
+  EXPECT_EQ(std::get<protocol::ErrReply>(body).code, ErrorCode::kStaleSession);
+  EXPECT_EQ(f.server->counters().lock_steals, 0u);
+
+  f.do_register();
+  EXPECT_EQ(f.epoch, 1u);
+  r = f.call(protocol::KeepAliveReq{});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, FrameKind::kAck);
 }
 
 TEST(Server, RegisterNackedWhileTimerRuns) {

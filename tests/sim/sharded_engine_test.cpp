@@ -8,14 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "obs/recorder.hpp"
-#include "obs/sampler.hpp"
 #include "sim/engine.hpp"
 
 namespace stank::sim {
@@ -223,55 +219,6 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
     ASSERT_TRUE(win.valid());
     EXPECT_GT(ctr.merged(win), 0u);
   }
-}
-
-// Per-shard time-series sampling on the sharded stack: each shard gets its
-// own Sampler + Recorder (shard-private, like all shard state), driven by
-// attach_periodic on that shard's engine; at save time the per-shard series
-// merge into one recorder via absorb_series_from. This is the sampling path
-// for sharded runs — note it schedules engine events (bright mode), unlike
-// the counter registry.
-TEST(ShardedEngine, PerShardSamplersMergeOnSave) {
-  ShardedEngine::Config cfg;
-  cfg.shards = 2;
-  cfg.threads = 2;
-  ShardedEngine eng(cfg);
-
-  std::vector<std::unique_ptr<obs::Recorder>> recs;
-  std::vector<std::unique_ptr<obs::Sampler>> samplers;
-  std::vector<std::uint64_t> work(cfg.shards, 0);
-  for (unsigned s = 0; s < cfg.shards; ++s) {
-    recs.push_back(std::make_unique<obs::Recorder>());
-    samplers.push_back(std::make_unique<obs::Sampler>(*recs[s]));
-    samplers[s]->add_probe("work/s" + std::to_string(s),
-                           [&work, s] { return static_cast<double>(work[s]); });
-    obs::attach_periodic(eng.shard(s), *samplers[s], Duration{1'000'000}, /*until_s=*/0.009);
-  }
-  // Distinguishable per-shard load.
-  for (int i = 0; i < 10; ++i) {
-    eng.shard(0).schedule_at(SimTime{i * 1'000'000 + 1}, [&work]() { work[0] += 1; });
-    eng.shard(1).schedule_at(SimTime{i * 1'000'000 + 1}, [&work]() { work[1] += 2; });
-  }
-  eng.run_until(SimTime{10'000'000});
-
-  // Save-time merge: fold every shard's series into shard 0's recorder.
-  for (unsigned s = 1; s < cfg.shards; ++s) recs[0]->absorb_series_from(*recs[s]);
-
-  const obs::Series* s0 = nullptr;
-  const obs::Series* s1 = nullptr;
-  for (const obs::Series& se : recs[0]->series()) {
-    if (se.name == "work/s0") s0 = &se;
-    if (se.name == "work/s1") s1 = &se;
-  }
-  ASSERT_NE(s0, nullptr) << "shard 0's own series present";
-  ASSERT_NE(s1, nullptr) << "shard 1's series absorbed into the merged recorder";
-  ASSERT_GE(s0->points.size(), 5u);
-  EXPECT_EQ(s0->points.size(), s1->points.size()) << "same cadence on both shards";
-  for (std::size_t i = 1; i < s1->points.size(); ++i) {
-    EXPECT_LE(s1->points[i - 1].t_s, s1->points[i].t_s) << "merged series stay time-sorted";
-  }
-  // Shard 1 accumulated twice the work at each sample point.
-  EXPECT_DOUBLE_EQ(s1->points.back().value, 2.0 * s0->points.back().value);
 }
 
 TEST(ShardedEngine, CountsAggregateAcrossShards) {
