@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
@@ -102,7 +101,6 @@ Timeline run(double tau_s, double eps) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("fig2_partition");
   std::printf("F2: the two-network partition scenario (paper Figure 2 / sections 2-3)\n\n");
 
   // Detailed timeline at the paper's running configuration.

@@ -9,7 +9,6 @@
 // safety proof.
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/client_lease_agent.hpp"
 #include "metrics/histogram.hpp"
@@ -71,7 +70,6 @@ RenewalStats run(double rtt_ms, double tau_s) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("fig3_renewal");
   std::printf("F3: lease renewal timing (paper Figure 3)\n\n");
 
   Table tbl({"RTT (ms)", "tau (s)", "renewals", "t_C2-t_C1 p50 (ms)", "t_C2-t_C1 p99 (ms)",

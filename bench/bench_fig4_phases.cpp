@@ -9,7 +9,6 @@
 #include <array>
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/client_lease_agent.hpp"
 #include "workload/scenario.hpp"
@@ -84,7 +83,6 @@ PhaseTimes run_activity(double interarrival_s, bool partitioned, double phase2_f
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("fig4_phases");
   std::printf("F4: time in each lease phase vs client activity (paper Figure 4)\n\n");
 
   {
@@ -135,36 +133,6 @@ int main() {
     std::printf("\nStarting renewal later sends fewer NULL messages but leaves fewer retries\n"
                 "before the lease runs out; under heavy loss that converts into spurious\n"
                 "expiries. The default 0.5 boundary keeps expiries at zero.\n");
-  }
-
-  {
-    // Traced re-run of the isolated case: the flight recorder measures the
-    // same phase story as spans (phase residency, request RTT), which feed
-    // the latency percentiles in BENCH_core.json. The table runs above stay
-    // untraced so the recorder never touches the perf-gated numbers.
-    workload::ScenarioConfig cfg;
-    cfg.workload.num_clients = 2;
-    cfg.workload.num_files = 2;
-    cfg.workload.file_blocks = 4;
-    cfg.workload.mean_interarrival_s = 0.05;
-    cfg.workload.run_seconds = 60.0;
-    cfg.lease.tau = sim::local_seconds(10);
-    cfg.enable_trace = true;
-    cfg.failures.add(10.0, workload::FailureKind::kCtrlIsolate, 0);
-    cfg.failures.add(40.0, workload::FailureKind::kCtrlHeal, 0);
-    workload::Scenario sc(cfg);
-    auto r = sc.run();
-    const obs::Recorder& rec = sc.recorder();
-    reporter.latency("op_latency_ms", r.op_latency_ms);
-    reporter.latency("request_rtt_ms", rec.span_hist(obs::SpanKind::kRequestRtt));
-    reporter.latency("phase_active_ms", rec.span_hist(obs::SpanKind::kPhaseActive));
-    reporter.latency("phase_renewal_ms", rec.span_hist(obs::SpanKind::kPhaseRenewal));
-    reporter.latency("lock_acquire_ms", rec.span_hist(obs::SpanKind::kLockAcquire));
-    std::printf("\nTraced run: %zu flight-recorder events across %zu nodes "
-                "(%zu RTT spans, %zu phase-active spans).\n",
-                rec.total_events(), rec.nodes().size(),
-                rec.span_hist(obs::SpanKind::kRequestRtt).count(),
-                rec.span_hist(obs::SpanKind::kPhaseActive).count());
   }
   return 0;
 }

@@ -9,7 +9,6 @@
 // without NACKs.
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "client/client.hpp"
 #include "server/server.hpp"
@@ -104,7 +103,6 @@ NackOutcome run_direct(bool nack_enabled) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("fig5_nack");
   std::printf("F5: NACKs for inconsistent clients (paper Figure 5 / section 3.3)\n\n");
 
   Table tbl({"server policy", "C1 requests sent", "retransmissions", "NACKs",

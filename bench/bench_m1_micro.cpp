@@ -6,7 +6,6 @@
 // can drive.
 #include <benchmark/benchmark.h>
 
-#include "bench_util.hpp"
 #include "client/cache.hpp"
 #include "protocol/codec.hpp"
 #include "server/block_alloc.hpp"
@@ -168,13 +167,4 @@ BENCHMARK(BM_RngZipf);
 }  // namespace
 }  // namespace stank
 
-// Expanded BENCHMARK_MAIN with a Reporter so run_all gets an events/sec
-// line for this binary too.
-int main(int argc, char** argv) {
-  stank::bench::Reporter reporter("m1_micro");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

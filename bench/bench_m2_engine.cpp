@@ -12,14 +12,10 @@
 //                       generators).
 //  * datagram path    — codec encode -> ControlNet send -> delivery, the full
 //                       per-message cost of a simulated control-network frame.
-//
-// Prints a table and, when $STANK_BENCH_JSON is set, appends one JSON line
-// per metric for bench/run_all to collect into BENCH_core.json.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "net/control_net.hpp"
 #include "protocol/codec.hpp"
@@ -157,7 +153,6 @@ Metric bench_datagram_path() {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("m2_engine");
   std::printf("M2: simulation-core hot-path benchmarks\n\n");
 
   const Metric metrics[] = {
@@ -171,7 +166,6 @@ int main() {
   tbl.title("Hot-path cost per simulated event / datagram");
   for (const auto& m : metrics) {
     tbl.row().cell(m.name).cell(m.ops).cell(m.wall_s, 3).cell(m.per_sec(), 0).cell(m.ns_per_op(), 1);
-    reporter.metric(m.name, m.per_sec(), m.ns_per_op());
   }
   tbl.print(std::cout);
 

@@ -13,9 +13,7 @@
 // Each gate warms the system (registration, reply-cache rings, engine slot
 // pools, codec buffer pools, FlatMap high-water capacity), snapshots the
 // operator-new counter from alloc_hooks, runs the steady window, and FAILS
-// THE BENCH (exit 1) if a single allocation happened. The counts are also
-// reported, so BENCH_core.json records the invariant and bench_diff.py can
-// flag any regression against it.
+// THE BENCH (exit 1) if a single allocation happened.
 //
 // client_heap bounds what a registered client costs the installation: live
 // heap bytes per client once N clients have registered, opened one file and
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
-#include "bench_util.hpp"
 #include "obs/counters.hpp"
 #include "workload/scenario.hpp"
 
@@ -200,7 +197,6 @@ std::uint64_t counter_registry_allocs(std::uint64_t iters) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("steady_alloc");
   std::printf("Steady-state allocation gates (operator new interposition)\n\n");
 
   int rc = 0;
@@ -209,7 +205,6 @@ int main() {
   std::printf("  renewal_tick : %llu allocations over 10 s x 8 clients of keep-alive "
               "traffic %s\n",
               static_cast<unsigned long long>(renewal), renewal == 0 ? "[ok]" : "[FAIL]");
-  reporter.alloc("renewal_tick", renewal);
   if (renewal != 0) rc = 1;
 
   std::uint64_t completed = 0;
@@ -218,7 +213,6 @@ int main() {
               "lock/release cycles %s\n",
               static_cast<unsigned long long>(grant),
               static_cast<unsigned long long>(completed), grant == 0 ? "[ok]" : "[FAIL]");
-  reporter.alloc("grant_release", grant == UINT64_MAX ? 1 : grant);
   if (grant != 0) rc = 1;
 
   const std::uint64_t ctr_allocs = counter_registry_allocs(100'000);
@@ -226,7 +220,6 @@ int main() {
               "increments on a frozen 8-shard registry %s\n",
               static_cast<unsigned long long>(ctr_allocs),
               ctr_allocs == 0 ? "[ok]" : "[FAIL]");
-  reporter.alloc("counter_inc", ctr_allocs == UINT64_MAX ? 1 : ctr_allocs);
   if (ctr_allocs != 0) rc = 1;
 
   if (rc != 0) {
@@ -242,7 +235,6 @@ int main() {
   std::printf("  client_heap  : %.1f live heap bytes per client after %zu clients register, "
               "open one file and lock/release once (bound %.0f) %s\n",
               heap, kHeapClients, kHeapBytesPerClientBound, heap_ok ? "[ok]" : "[FAIL]");
-  reporter.value("client_heap_bytes_per_client", heap);
   if (!heap_ok) {
     std::fprintf(stderr, "\nsteady: PER-CLIENT HEAP GATE FAILED — a registered client costs "
                          "more live heap than the bound.\n");

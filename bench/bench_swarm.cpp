@@ -15,14 +15,21 @@
 // 8} shards. K servers (server j on shard j); client i talks to server
 // i mod K and lives on shard (i + i/K) mod K, so every shard hosts N/K
 // clients, roughly 1/K of the traffic is shard-local and the rest crosses
-// shards through the mailbox exchange. The events/s-vs-K column is the
+// shards through the mailbox exchange. The wall-speedup-vs-K column is the
 // scaling curve; the run digest (FNV over per-member op counts, net
 // counters, and event totals) pins the determinism contract — a fixed
 // (seed, K) must print the same digest at any worker-thread count, on every
 // run.
 //
-// After every measured window the bench checks the lock manager's
-// invariants on every server and exits 1 if one fails.
+// wall ns/op is the measured window's wall time over the ops completed in
+// that window; wall speedup is K=1's wall ns/op over the row's. Event
+// throughput is not reported: batching and sharding change the event count
+// per op, so it rewards executing more events rather than finishing ops
+// sooner.
+//
+// Hard gates (exit 1): the lock manager's invariants on every server after
+// every measured window, bytes/client at or under kBytesPerClientBound on
+// every point, and zero watchdog trips across the sharded sweep.
 //
 // Environment knobs (all strictly validated; a malformed value aborts with
 // exit code 2 rather than silently running the wrong sweep):
@@ -44,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "obs/counters.hpp"
 #include "workload/scenario.hpp"
@@ -65,6 +71,12 @@ std::size_t pool_for(std::uint32_t n) {
 }
 constexpr double kWarmS = 3.0;     // registration + opens finish well before this
 constexpr double kMeasureS = 8.0;  // measured steady window
+
+// Control-network bytes per client over the measured window. The figure is
+// deterministic per (seed, N, K), so the gate cannot flake. The bound is the
+// largest reading of the default sweep (831 B at N=1M, K=1) plus 10%; a change
+// that moves per-client traffic re-measures it and resets the bound.
+constexpr double kBytesPerClientBound = 914;
 
 // ---------------------------------------------------------------------------
 // Environment parsing. The old parser fed strtoul whatever it found and
@@ -158,24 +170,30 @@ struct SwarmPoint {
   std::uint32_t threads;
   double wall_s;
   std::uint64_t sim_events;
-  double events_per_sec;
+  double wall_ns_per_op;  // measured-window wall time / ops completed in it
   double bytes_per_client;
   std::uint64_t ops_ok;
   std::uint64_t ops_failed;
   std::uint64_t digest;
   // Telemetry columns (zero when the registry is dark or K == 1).
   bool telemetry{false};
-  std::vector<double> shard_events_per_window;  // per shard
-  double imbalance_permille{0.0};               // max/mean shard events, x1000
-  std::uint64_t mailbox_hw{0};                  // deepest SPSC mailbox seen
+  double imbalance_permille{0.0};  // max/mean shard events, x1000
+  std::uint64_t mailbox_hw{0};     // deepest SPSC mailbox seen
   std::uint64_t barrier_p50_ns{0};
   std::uint64_t barrier_p99_ns{0};
-  std::uint64_t idle_windows{0};
   std::uint64_t watchdog_trips{0};
 };
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 1099511628211ull;
+}
+
+std::uint64_t total_ops_ok(const workload::Scenario& sc) {
+  std::uint64_t ok = 0;
+  for (std::size_t i = 0; i < sc.num_clients(); ++i) {
+    ok += sc.client_ops(i).reads_ok + sc.client_ops(i).writes_ok;
+  }
+  return ok;
 }
 
 SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bool telemetry) {
@@ -187,6 +205,7 @@ SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bo
   sim::ShardedEngine& engine = sc.sharded_engine();
   const std::uint64_t events0 = engine.events_executed();
   const std::uint64_t bytes0 = sc.sharded_net().stats().bytes;
+  const std::uint64_t ops0 = total_ops_ok(sc);
   const auto wall0 = std::chrono::steady_clock::now();
   sc.run_until_s(kWarmS + kMeasureS);
   const double wall =
@@ -206,7 +225,6 @@ SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bo
   p.threads = threads;
   p.wall_s = wall;
   p.sim_events = engine.events_executed() - events0;
-  p.events_per_sec = wall > 0 ? static_cast<double>(p.sim_events) / wall : 0.0;
   const net::NetStats st = sc.sharded_net().stats();
   p.bytes_per_client = static_cast<double>(st.bytes - bytes0) / n;
   p.ops_ok = 0;
@@ -223,6 +241,8 @@ SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bo
     digest = fnv_mix(digest, ok);
     digest = fnv_mix(digest, ops.failed);
   }
+  const std::uint64_t window_ops = p.ops_ok - ops0;
+  p.wall_ns_per_op = window_ops > 0 ? wall * 1e9 / static_cast<double>(window_ops) : 0.0;
   digest = fnv_mix(digest, st.sent);
   digest = fnv_mix(digest, st.delivered);
   digest = fnv_mix(digest, st.bytes);
@@ -232,60 +252,55 @@ SwarmPoint run_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads, bo
   // K = 1 takes no barrier snapshots: its telemetry columns stay blank.
   if (const obs::Counters* ctr = sc.shard_counters(); ctr != nullptr && k > 1) {
     p.telemetry = true;
-    const obs::Counters::Id id_events = ctr->find("engine.events");
-    const obs::Counters::Id id_windows = ctr->find("engine.windows");
     const obs::Counters::HistId id_bwait = ctr->find_hist("barrier.wait_ns");
-    const std::uint64_t windows = ctr->merged(id_windows);
-    p.shard_events_per_window.resize(k, 0.0);
-    for (std::uint32_t s = 0; s < k; ++s) {
-      p.shard_events_per_window[s] =
-          windows > 0 ? static_cast<double>(ctr->value(s, id_events)) /
-                            static_cast<double>(windows)
-                      : 0.0;
-    }
     p.imbalance_permille =
         static_cast<double>(ctr->merged(ctr->find("engine.imbalance_permille")));
     p.mailbox_hw = ctr->merged(ctr->find("net.mailbox_hw"));
     p.barrier_p50_ns = ctr->hist_quantile(id_bwait, 0.50);
     p.barrier_p99_ns = ctr->hist_quantile(id_bwait, 0.99);
-    p.idle_windows = ctr->merged(ctr->find("engine.idle_windows"));
     p.watchdog_trips = sc.watchdog()->trips();
   }
   return p;
 }
 
+// Reports a point over the bytes/client bound on stderr; returns whether the
+// point is within it.
+bool bytes_ok(const SwarmPoint& p) {
+  if (p.bytes_per_client <= kBytesPerClientBound) return true;
+  std::fprintf(stderr, "bench_swarm: %.0f bytes/client at N=%u, K=%u exceeds the bound %.0f\n",
+               p.bytes_per_client, p.n, p.k, kBytesPerClientBound);
+  return false;
+}
+
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("swarm");
   std::printf("Swarm scaling: one server, N clients of renewal-storm + Zipf lock traffic\n\n");
+  bool gates_ok = true;
 
-  Table tbl({"N clients", "sim events", "wall (s)", "events/s", "bytes/client", "ops ok",
+  Table tbl({"N clients", "sim events", "wall (s)", "wall ns/op", "bytes/client", "ops ok",
              "ops failed"});
   tbl.title("8 s measured window; tau = 2 s; Zipf(0.9) over pool_for(N) files; 5% exclusive");
   for (std::uint32_t n : env_u32_list("STANK_SWARM_NS", {100, 1000, 10000, 50000})) {
     const SwarmPoint p = run_swarm(n, 1, 1, /*telemetry=*/false);
+    gates_ok = bytes_ok(p) && gates_ok;
     tbl.row()
         .cell(p.n)
         .cell(p.sim_events)
         .cell(p.wall_s, 2)
-        .cell(p.events_per_sec, 0)
+        .cell(p.wall_ns_per_op, 0)
         .cell(p.bytes_per_client, 0)
         .cell(p.ops_ok)
         .cell(p.ops_failed);
-    char key[48];
-    std::snprintf(key, sizeof(key), "swarm_n%u_events_per_sec", p.n);
-    reporter.value(key, p.events_per_sec);
-    std::snprintf(key, sizeof(key), "swarm_n%u_bytes_per_client", p.n);
-    reporter.value(key, p.bytes_per_client);
   }
   tbl.print(std::cout);
 
   std::printf(
-      "\nReading: events/s is simulator throughput at that swarm size — flat-to-rising\n"
-      "means per-event cost does not degrade with population (batched delivery, pooled\n"
-      "timer slots). bytes/client is per-client protocol overhead over the window and\n"
-      "should be roughly constant: the lease protocol's cost scales with N, not N^2.\n\n");
+      "\nReading: wall ns/op is what one simulated client op costs in wall time at that\n"
+      "swarm size — flat means per-op cost does not degrade with population (batched\n"
+      "delivery, pooled timer slots). bytes/client is per-client protocol overhead over\n"
+      "the window and should be roughly constant: the lease protocol's cost scales with\n"
+      "N, not N^2.\n\n");
 
   const std::uint32_t sharded_n = env_u32("STANK_SWARM_N_SHARDED", 1'000'000);
   const std::uint32_t threads_override = env_u32("STANK_SWARM_THREADS", 0xFFFFFFFFu);
@@ -297,16 +312,21 @@ int main() {
               sharded_n);
   std::printf("Telemetry: %s (STANK_SWARM_TELEMETRY=0 to disable; must not change digests)\n\n",
               telemetry ? "counters + watchdog armed" : "dark");
-  Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "bytes/client",
-              "ops ok", "ops failed", "imb", "mbox hw", "bar p50us", "bar p99us", "digest"});
-  stbl.title("client i -> server i%K, shard (i+i/K)%K: N/K per shard, ~1/K co-located");
-  double base_eps = 0.0;
-  std::uint64_t total_trips = 0;
+  std::vector<SwarmPoint> points;
+  double base_ns_per_op = 0.0;  // K=1's wall ns/op; 0 when the sweep has no K=1
   for (std::uint32_t k : ks) {
     const std::uint32_t threads = threads_override != 0xFFFFFFFFu ? threads_override : k;
-    const SwarmPoint p = run_swarm(sharded_n, k, threads, telemetry);
-    if (k == 1) base_eps = p.events_per_sec;
-    const double speedup = base_eps > 0 ? p.events_per_sec / base_eps : 0.0;
+    points.push_back(run_swarm(sharded_n, k, threads, telemetry));
+    if (k == 1) base_ns_per_op = points.back().wall_ns_per_op;
+  }
+
+  Table stbl({"K", "threads", "sim events", "wall (s)", "wall ns/op", "wall speedup",
+              "bytes/client", "ops ok", "ops failed", "imb", "mbox hw", "bar p50us",
+              "bar p99us", "digest"});
+  stbl.title("client i -> server i%K, shard (i+i/K)%K: N/K per shard, ~1/K co-located");
+  std::uint64_t total_trips = 0;
+  for (const SwarmPoint& p : points) {
+    gates_ok = bytes_ok(p) && gates_ok;
     char digest_hex[24];
     std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
                   static_cast<unsigned long long>(p.digest));
@@ -315,11 +335,13 @@ int main() {
                     .cell(p.threads)
                     .cell(p.sim_events)
                     .cell(p.wall_s, 2)
-                    .cell(p.events_per_sec, 0)
-                    .cell(speedup, 2)
-                    .cell(p.bytes_per_client, 0)
-                    .cell(p.ops_ok)
-                    .cell(p.ops_failed);
+                    .cell(p.wall_ns_per_op, 0);
+    if (base_ns_per_op > 0 && p.wall_ns_per_op > 0) {
+      row.cell(base_ns_per_op / p.wall_ns_per_op, 2);
+    } else {
+      row.cell("-");
+    }
+    row.cell(p.bytes_per_client, 0).cell(p.ops_ok).cell(p.ops_failed);
     if (p.telemetry) {
       row.cell(p.imbalance_permille / 1000.0, 2)
           .cell(p.mailbox_hw)
@@ -330,44 +352,20 @@ int main() {
     }
     row.cell(digest_hex);
     total_trips += p.watchdog_trips;
-    char key[96];
-    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_events_per_sec", p.n, p.k);
-    reporter.value(key, p.events_per_sec);
-    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_bytes_per_client", p.n, p.k);
-    reporter.value(key, p.bytes_per_client);
-    if (p.telemetry) {
-      // Shard-utilization columns for BENCH_core.json: per-shard events per
-      // executed window, plus the health gauges the ROADMAP's multi-core
-      // validation item needs to see.
-      for (std::uint32_t s = 0; s < p.k; ++s) {
-        std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_s%u_events_per_window", p.n,
-                      p.k, s);
-        reporter.value(key, p.shard_events_per_window[s]);
-      }
-      std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_imbalance", p.n, p.k);
-      reporter.value(key, p.imbalance_permille / 1000.0);
-      std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_mailbox_hw", p.n, p.k);
-      reporter.value(key, static_cast<double>(p.mailbox_hw));
-      std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_barrier_wait_p50_ns", p.n, p.k);
-      reporter.value(key, static_cast<double>(p.barrier_p50_ns));
-      std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_barrier_wait_p99_ns", p.n, p.k);
-      reporter.value(key, static_cast<double>(p.barrier_p99_ns));
-      std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_idle_windows", p.n, p.k);
-      reporter.value(key, static_cast<double>(p.idle_windows));
-    }
   }
   stbl.print(std::cout);
 
   std::printf(
-      "\nReading: speedup is events/s relative to K=1 on the same workload. The digest\n"
-      "is the determinism witness: a fixed (seed, K) must print the same value on every\n"
-      "run at every worker-thread count — armed or dark. imb is max/mean shard events\n"
-      "between snapshots (1.00 = perfectly balanced); mbox hw is the deepest SPSC\n"
-      "mailbox; bar p50/p99 are barrier wait quantiles per crossing.\n");
+      "\nReading: wall speedup is K=1's wall ns/op over the row's on the same workload\n"
+      "('-' when the sweep has no K=1). The digest is the determinism witness: a fixed\n"
+      "(seed, K) must print the same value on every run at every worker-thread count —\n"
+      "armed or dark. imb is max/mean shard events between snapshots (1.00 = perfectly\n"
+      "balanced); mbox hw is the deepest SPSC mailbox; bar p50/p99 are barrier wait\n"
+      "quantiles per crossing.\n");
   if (total_trips > 0) {
-    std::printf("WATCHDOG: %llu invariant probe trip(s) during the sweep — inspect before\n"
-                "trusting these numbers.\n",
-                static_cast<unsigned long long>(total_trips));
+    std::fprintf(stderr, "WATCHDOG: %llu invariant probe trip(s) during the sweep\n",
+                 static_cast<unsigned long long>(total_trips));
+    gates_ok = false;
   }
-  return 0;
+  return gates_ok ? 0 : 1;
 }

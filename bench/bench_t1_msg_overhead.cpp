@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -79,7 +78,6 @@ std::uint64_t run_idle(core::LeaseStrategy strategy, std::uint32_t clients, std:
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t1_msg_overhead");
   std::printf("T1: lease-maintenance message overhead by strategy (60s, tau=10s)\n\n");
 
   const std::vector<core::LeaseStrategy> strategies = {core::LeaseStrategy::kStorageTank,

@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -23,7 +22,6 @@ struct ServerCost {
   std::size_t peak_bytes{0};
   std::size_t final_bytes{0};
   std::uint64_t txns{0};
-  metrics::Histogram latency_ms;
 };
 
 ServerCost run(core::LeaseStrategy strategy, std::uint32_t clients, std::uint32_t files,
@@ -46,13 +44,12 @@ ServerCost run(core::LeaseStrategy strategy, std::uint32_t clients, std::uint32_
   workload::Scenario sc(cfg);
   auto r = sc.run();
   return ServerCost{r.server.lease_ops, r.max_lease_state_bytes, r.final_lease_state_bytes,
-                    r.server.transactions, std::move(r.op_latency_ms)};
+                    r.server.transactions};
 }
 
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t2_server_cost");
   std::printf("T2: lease bookkeeping at the locking authority (60s, tau=8s)\n\n");
 
   const std::vector<core::LeaseStrategy> strategies = {core::LeaseStrategy::kStorageTank,
@@ -82,15 +79,6 @@ int main() {
           .cell(c.lease_ops)
           .cell(c.peak_bytes)
           .cell(c.final_bytes);
-    }
-    // Failure-free op latency, merged across the sweep per strategy, for the
-    // p99 trend in BENCH_core.json.
-    for (std::size_t s = 0; s < strategies.size(); ++s) {
-      metrics::Histogram merged;
-      for (std::size_t k = 0; k < per_strategy; ++k) {
-        merged.merge(cells[s * per_strategy + k].latency_ms);
-      }
-      reporter.latency(std::string("op_latency_ms/") + to_string(strategies[s]), merged);
     }
     tbl.print(std::cout);
     std::printf("\n");

@@ -5,7 +5,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/lease_math.hpp"
 #include "rt/parallel.hpp"
@@ -68,7 +67,6 @@ Availability run(double tau_s, double eps, int skew_mode,
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t3_availability");
   std::printf("T3: availability — time to redistribute an unreachable client's lock\n\n");
 
   {

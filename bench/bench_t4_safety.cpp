@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -78,7 +77,6 @@ verify::ViolationSummary run_cell(server::RecoveryMode recovery, FailureClass fa
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t4_safety");
   std::printf("T4: consistency violations by recovery policy (4 clients, contended files,\n"
               "    5 seeds per cell; counts are totals across seeds)\n\n");
 

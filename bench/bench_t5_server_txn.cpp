@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -56,7 +55,6 @@ T5Row run(client::DataPath path, std::uint32_t clients) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t5_server_txn");
   std::printf("T5: server role — transactions vs data shipping (30s, 4KiB blocks)\n\n");
 
   Table tbl({"data path", "clients", "client ops", "server txn/s", "server data (MB)",

@@ -10,7 +10,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "metrics/histogram.hpp"
 #include "rt/parallel.hpp"
@@ -65,7 +64,6 @@ Margin run(double eps, int skew_mode, int latency_us, std::uint64_t seed) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t6_theorem");
   std::printf("T6: empirical Theorem 3.1 — safety margin = steal - client expiry (tau=5s)\n\n");
 
   struct Cell {

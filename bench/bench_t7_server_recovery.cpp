@@ -12,7 +12,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "verify/stamp.hpp"
@@ -109,7 +108,6 @@ T7Row run(double grace_s) {
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t7_server_recovery");
   std::printf("T7 (extension): server crash + client-driven lock reassertion (section 6)\n\n");
 
   Table tbl({"grace period", "healthy cache survived", "write races", "stale reads",

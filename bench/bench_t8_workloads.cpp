@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -27,7 +26,6 @@ struct T8Row {
   double hit_rate{0};
   double p99_ms{0};
   std::size_t violations{0};
-  metrics::Histogram latency_ms;
 };
 
 T8Row run(workload::Pattern pattern) {
@@ -59,14 +57,12 @@ T8Row run(workload::Pattern pattern) {
                                           static_cast<double>(hits + misses);
   row.p99_ms = r.op_latency_ms.quantile(0.99);
   row.violations = r.violations.total();
-  row.latency_ms = r.op_latency_ms;
   return row;
 }
 
 }  // namespace
 
 int main() {
-  bench::Reporter reporter("t8_workloads");
   std::printf("T8 (extension): protocol cost by workload pattern (6 clients, 60s, tau=10s)\n\n");
 
   Table tbl({"pattern", "ops", "demands", "demands/op", "grants", "lease msgs",
@@ -91,8 +87,6 @@ int main() {
         .cell(r.hit_rate, 3)
         .cell(r.p99_ms, 2)
         .cell(r.violations);
-    reporter.latency(std::string("op_latency_ms/") + to_string(patterns[idx]),
-                     r.latency_ms);
   }
   tbl.print(std::cout);
 

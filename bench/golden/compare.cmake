@@ -1,17 +1,15 @@
 # Runs one figure bench and compares its stdout byte for byte against a
 # golden file. The figure benches are deterministic: every table cell comes
-# from a seeded simulation, and the JSON report line goes only to
-# $STANK_BENCH_JSON, which is cleared here.
+# from a seeded simulation.
 #
 #   cmake -DBENCH=<binary> -DGOLDEN=<file> -P compare.cmake
 #
-# Regenerate a golden file with `STANK_BENCH_JSON= <binary> > <file>` after a
+# Regenerate a golden file with `<binary> > <file>` after a
 # change that is meant to move a figure, and say why in the commit.
 if(NOT BENCH OR NOT GOLDEN)
   message(FATAL_ERROR "usage: cmake -DBENCH=<binary> -DGOLDEN=<file> -P compare.cmake")
 endif()
 
-unset(ENV{STANK_BENCH_JSON})
 execute_process(COMMAND "${BENCH}"
                 OUTPUT_VARIABLE actual
                 RESULT_VARIABLE rc)

@@ -1,7 +1,6 @@
 #include "net/control_net.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -10,12 +9,6 @@
 #include "net/sharded_net.hpp"
 
 namespace stank::net {
-
-namespace {
-
-std::atomic<std::uint64_t> g_datagrams_sent{0};
-
-}  // namespace
 
 std::string NetStats::summary() const {
   char buf[256];
@@ -38,15 +31,10 @@ ControlNet::ControlNet(sim::Engine& engine, sim::Rng rng, NetConfig cfg)
     : engine_(&engine), rng_(rng), cfg_(cfg) {}
 
 ControlNet::~ControlNet() {
-  g_datagrams_sent.fetch_add(stats_.sent, std::memory_order_relaxed);
   // Donate still-queued buffers: the engine may die with traffic in flight.
   for (auto& [node, q] : queues_) {
     for (Item& it : q.items) recycle_buf(std::move(it.bytes));
   }
-}
-
-std::uint64_t ControlNet::global_datagrams_sent() {
-  return g_datagrams_sent.load(std::memory_order_relaxed);
 }
 
 Bytes ControlNet::take_buf() { return stank::take_buf(); }

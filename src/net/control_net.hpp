@@ -149,10 +149,6 @@ class ControlNet {
   // did to the traffic, not just what survived.
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
-  // Process-wide total of datagrams sent by nets that have been destroyed;
-  // accumulated only in ~ControlNet (bench reporting, no hot-path cost).
-  [[nodiscard]] static std::uint64_t global_datagrams_sent();
-
   // --- Sharded operation (installed by ShardedNet) ------------------------
   // Marks this net as shard `shard` of a sharded fabric. send() then routes
   // datagrams whose destination lives on another shard into the owner's SPSC

@@ -740,7 +740,6 @@ void Server::on_delivery_failure(NodeId client) {
       do_steal(client);
       return;
     case RecoveryMode::kFenceOnly:
-      ++counters_.fences_issued;
       fence_client(client);
       return;
     case RecoveryMode::kLeaseOnly:

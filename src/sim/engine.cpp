@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -9,8 +8,6 @@
 namespace stank::sim {
 
 namespace {
-std::atomic<std::uint64_t> g_events_executed{0};
-
 // Bounds on the per-thread storage pools: 256 chunks is 64k slots (~4MB),
 // far above any tier-1 scenario's live-timer peak; overflow simply frees.
 constexpr std::size_t kMaxPooledChunks = 256;
@@ -36,7 +33,6 @@ Engine::Engine() {
 }
 
 Engine::~Engine() {
-  g_events_executed.fetch_add(executed_, std::memory_order_relaxed);
   auto& cpool = chunk_pool();
   for (auto& chunk : chunks_) {
     if (cpool.size() >= kMaxPooledChunks) break;
@@ -52,10 +48,6 @@ Engine::~Engine() {
     heap_.clear();
     hpool.push_back(std::move(heap_));
   }
-}
-
-std::uint64_t Engine::global_events_executed() {
-  return g_events_executed.load(std::memory_order_relaxed);
 }
 
 std::uint32_t Engine::acquire_slot() {

@@ -85,11 +85,6 @@ class Engine {
   // Safety valve against runaway event loops; default is generous.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
 
-  // Process-wide total of events executed by engines that have been
-  // destroyed — the bench reporter's cross-scenario throughput counter.
-  // Accumulated only in ~Engine, so it costs the hot path nothing.
-  [[nodiscard]] static std::uint64_t global_events_executed();
-
  private:
   struct Entry {
     SimTime at;

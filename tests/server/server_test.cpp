@@ -440,6 +440,7 @@ TEST(Server, FenceCompletionAfterCrashDoesNotBarClient) {
   Fixture f(cfg);
   f.do_register();
   f.server->inject_delivery_failure(NodeId{100});
+  EXPECT_EQ(f.server->counters().fences_issued, 1u);
   f.server->crash();
   f.run_for(0.02);  // the SAN completes the fence while the server is down
   EXPECT_TRUE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
