@@ -16,6 +16,14 @@ using protocol::LockMode;
 
 namespace {
 
+// How often a deregistered client retries RegisterReq.
+constexpr sim::LocalDuration kReregisterRetry = sim::local_millis(700);
+// V-lease renewal point and Frangipani heartbeat period, as fractions of tau.
+constexpr double kVRenewFrac = 0.5;
+constexpr double kHbBeatFrac = 0.34;
+// NFS mode: how long cached attributes are trusted before re-polling.
+constexpr sim::LocalDuration kAttrTimeout = sim::local_seconds(3);
+
 bool mode_leq(LockMode a, LockMode b) {
   return static_cast<int>(a) <= static_cast<int>(b);
 }
@@ -59,6 +67,20 @@ struct WriteFan {
   Status status{Status::ok()};
 };
 
+// The one reply decoder: the body an ACK was expected to carry, or the error
+// to report instead — kNacked or kTimeout when no ACK came back, the server's
+// ErrReply code, or kInvalidArgument for any other body.
+template <class Body>
+Result<const Body*> expect(const protocol::ReplyEvent& ev) {
+  if (ev.outcome != protocol::ReplyOutcome::kAck) {
+    return ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
+                                                       : ErrorCode::kTimeout;
+  }
+  if (const auto* rep = std::get_if<Body>(&ev.body)) return rep;
+  const auto* err = std::get_if<protocol::ErrReply>(&ev.body);
+  return err != nullptr ? err->code : ErrorCode::kInvalidArgument;
+}
+
 // On-stack slice list: steady-state ops span a handful of blocks, so the
 // inline capacity makes slicing allocation-free.
 using SliceVec = SmallVec<protocol::BlockSlice, 8>;
@@ -72,7 +94,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
       clock_(engine, local_clock),
       rec_(rec),
       transport_(net, clock_, cfg_.id, cfg_.server, counters_, cfg_.transport),
-      cache_(cfg_.block_size, cfg_.cache_capacity_pages) {
+      vol_(BlockCache(cfg_.block_size, cfg_.cache_capacity_pages)) {
   cfg_.lease.validate();
   if (rec_ != nullptr) {
     rec_->bind_engine(engine);
@@ -82,12 +104,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
   build_lease_machinery();
 }
 
-Client::~Client() {
-  if (register_timer_ != 0) {
-    clock_.cancel(register_timer_);
-  }
-  cancel_byzantine_timers();
-}
+Client::~Client() { cancel_timers(); }
 
 void Client::wire_transport() {
   transport_.on_ack = [this](sim::LocalTime first_send) {
@@ -123,18 +140,18 @@ void Client::wire_transport() {
       // Tag with the session the capture happened in; once the session
       // changes these become dead-session datagrams — the replay material.
       CapturedDatagram c{transport_.epoch(), transport_.incarnation(), datagram};
-      if (captured_.size() < 16) {
-        captured_.push_back(std::move(c));
+      if (vol_.captured.size() < 16) {
+        vol_.captured.push_back(std::move(c));
       } else {
-        captured_[captured_next_] = std::move(c);
-        captured_next_ = (captured_next_ + 1) % captured_.size();
+        vol_.captured[vol_.captured_next] = std::move(c);
+        vol_.captured_next = (vol_.captured_next + 1) % vol_.captured.size();
       }
     };
   }
   transport_.on_stale_session = [this]() { handle_stale_session(); };
   transport_.on_server_msg = [this](const protocol::ServerBody& body) { handle_server_msg(body); };
   transport_.accept_server_msg = [this](std::uint32_t epoch) {
-    if (crashed_ || !registered_) return false;
+    if (crashed_ || !vol_.registered) return false;
     if (epoch != transport_.epoch()) return false;
     if (agent_ && !agent_->lease_valid()) return false;
     return true;
@@ -156,7 +173,7 @@ void Client::build_lease_machinery() {
           record_byzantine(obs::ByzAction::kQuiesceDefied);
           return;
         }
-        accepting_ = false;
+        vol_.accepting = false;
       };
       hooks.flush = [this]() {
         if (cfg_.byzantine.write_after_expiry) {
@@ -174,8 +191,8 @@ void Client::build_lease_machinery() {
             (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
           // A keep-alive probe rescued an un-NACKed ride-down: the lease is
           // valid again and quiesce is over.
-          if (registered_ && !crashed_) {
-            accepting_ = true;
+          if (vol_.registered && !crashed_) {
+            vol_.accepting = true;
           }
         }
         if (on_phase_change) on_phase_change(from, to);
@@ -200,18 +217,17 @@ void Client::build_lease_machinery() {
       };
       hooks.object_expired = [this](FileId file) {
         // This object's lease lapsed: its lock and cached pages are invalid.
-        cache_.invalidate_file(file);
-        auto it = files_.find(file);
-        if (it != files_.end()) {
-          it->second.mode = LockMode::kNone;
-          ++it->second.mode_seq;
+        auto it = vol_.files.find(file);
+        if (it != vol_.files.end()) {
+          set_mode(it->second, LockMode::kNone);
+          // Only the unresolved request is forgotten: a revocation in
+          // progress still finishes and answers the server's demand.
           it->second.pending_mode = LockMode::kNone;
         }
         fail_lock_waits(file, ErrorCode::kLeaseExpired);
       };
       v_sched_ = std::make_unique<baselines::VLeaseClientScheduler>(clock_, cfg_.lease.tau,
-                                                                    cfg_.v_renew_frac,
-                                                                    std::move(hooks));
+                                                                    kVRenewFrac, std::move(hooks));
       break;
     }
     case core::LeaseStrategy::kFrangipani: {
@@ -228,7 +244,7 @@ void Client::build_lease_machinery() {
       };
       hooks.expired = [this]() { handle_lease_expired(); };
       hb_sched_ = std::make_unique<baselines::HeartbeatClientScheduler>(
-          clock_, cfg_.lease.tau, cfg_.hb_beat_frac, std::move(hooks));
+          clock_, cfg_.lease.tau, kHbBeatFrac, std::move(hooks));
       break;
     }
   }
@@ -237,38 +253,55 @@ void Client::build_lease_machinery() {
 void Client::start() {
   STANK_ASSERT(!started_);
   started_ = true;
+  power_on();
+}
+
+void Client::power_on() {
   transport_.start();
   register_with_server();
   if (cfg_.writeback_interval.ns > 0) {
-    writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
-                                             [this]() { writeback_tick(); });
+    vol_.writeback_timer = clock_.schedule_after(cfg_.writeback_interval,
+                                                 [this]() { writeback_tick(); });
   }
-  arm_byzantine_timers();
+  if (cfg_.byzantine.replay_old_session) {
+    vol_.replay_timer = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
+  }
+  if (cfg_.byzantine.forge_lock_claims) {
+    vol_.forge_timer = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
+  }
 }
 
 void Client::writeback_tick() {
-  writeback_timer_ = 0;
+  vol_.writeback_timer = 0;
   if (crashed_) return;
-  if (registered_ && accepting_ && cache_.dirty_count() > 0) {
+  if (vol_.registered && vol_.accepting && vol_.cache.dirty_count() > 0) {
     flush_all([](Status) {});
   }
-  writeback_timer_ =
+  vol_.writeback_timer =
       clock_.schedule_after(cfg_.writeback_interval, [this]() { writeback_tick(); });
 }
 
 void Client::enforce_cache_limit() {
-  while (cache_.over_capacity()) {
-    if (cache_.evict_clean_lru().has_value()) {
+  while (vol_.cache.over_capacity()) {
+    if (vol_.cache.evict_clean_lru().has_value()) {
       continue;
     }
     // Every page is dirty: flush the least-recently-used dirty page's file,
     // then try again — dropping dirty data would be a silent lost update.
-    auto od = cache_.oldest_dirty();
+    auto od = vol_.cache.oldest_dirty();
     if (!od) break;
     flush_file(od->first, [this](Status st) {
       if (st.is_ok()) enforce_cache_limit();
     });
     break;
+  }
+}
+
+void Client::cancel_timers() {
+  for (sim::TimerId* t : {&vol_.register_timer, &vol_.writeback_timer, &vol_.rogue_timer,
+                          &vol_.replay_timer, &vol_.forge_timer}) {
+    if (*t != 0) clock_.cancel(*t);
+    *t = 0;
   }
 }
 
@@ -283,29 +316,12 @@ void Client::crash() {
   if (agent_) agent_->deactivate();
   if (hb_sched_) hb_sched_->stop();
   if (v_sched_) v_sched_->clear();
-  if (register_timer_ != 0) {
-    clock_.cancel(register_timer_);
-    register_timer_ = 0;
-  }
-  if (writeback_timer_ != 0) {
-    clock_.cancel(writeback_timer_);
-    writeback_timer_ = 0;
-  }
-  register_inflight_ = false;
-  registered_ = false;
-  accepting_ = false;
-  // A crashed machine loses even its misbehavior: snapshots and captured
-  // datagrams are volatile state too.
-  cancel_byzantine_timers();
-  rogue_writes_.clear();
-  rogue_rounds_left_ = 0;
-  captured_.clear();
-  captured_next_ = 0;
+  cancel_timers();
   // Volatile state is gone. Callbacks of in-flight operations are dropped —
-  // a crashed machine answers nobody.
-  cache_.invalidate_all();
-  files_.clear();
-  fds_.clear();
+  // a crashed machine answers nobody. The pages go back to the buffer pool;
+  // the emptied cache keeps its hit/miss/eviction totals, which are metrics.
+  vol_.cache.invalidate_all();
+  vol_ = Volatile(std::move(vol_.cache));
 }
 
 void Client::restart() {
@@ -315,93 +331,85 @@ void Client::restart() {
   }
   crashed_ = false;
   transport_.set_epoch(0);
-  transport_.start();
-  register_with_server();
-  if (cfg_.writeback_interval.ns > 0 && writeback_timer_ == 0) {
-    writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
-                                             [this]() { writeback_tick(); });
-  }
-  arm_byzantine_timers();
+  power_on();
 }
 
 // ---------------------------------------------------------------------------
 // Registration & lease lifecycle
 
 void Client::register_with_server() {
-  if (crashed_ || registered_ || register_inflight_) return;
-  register_inflight_ = true;
+  if (crashed_ || vol_.registered || vol_.register_inflight) return;
+  vol_.register_inflight = true;
   transport_.send_request(protocol::RegisterReq{}, [this](const protocol::ReplyEvent& ev) {
-    register_inflight_ = false;
-    if (ev.outcome == protocol::ReplyOutcome::kAck) {
-      if (const auto* rep = std::get_if<protocol::RegisterReply>(&ev.body)) {
-        transport_.set_session(rep->epoch, rep->incarnation);
-        const bool server_restarted =
-            server_incarnation_ != 0 && rep->incarnation != server_incarnation_;
-        // ANY re-registration means the server had no session for us — it
-        // restarted, or it declared us failed and stole our locks. Either
-        // way every lock we think we hold must be re-verified (section 6):
-        // reassert_locks() confirms each with the server and drops the ones
-        // it refuses. Re-registering and silently keeping the old lock
-        // table would serve stale cache under locks granted elsewhere.
-        const bool re_registration = server_incarnation_ != 0;
-        const bool can_reassert =
-            re_registration && (agent_ == nullptr || agent_->lease_valid());
-        server_incarnation_ = rep->incarnation;
-        registered_ = true;
-        if (agent_) {
-          if (agent_->lease_valid() && !agent_->nack_latched()) {
-            agent_->renew(ev.first_send);
-          } else {
-            // NACK-latched or expired: the successful registration opened a
-            // FRESH contract (new epoch at the server), so the old lease's
-            // quiesce discipline no longer applies. renew() would refuse
-            // while latched and the client would expire moments after
-            // resuming service, dropping writes accepted in the window.
-            // Anchor the new lease at the RegisterReq's first send (t_C1).
-            agent_->restart(ev.first_send);
-          }
-          // A retried RegisterReq can anchor so far back that the lease is
-          // already in ride-down; resuming service then would buffer dirty
-          // data inside the flush window and lose it at expiry. Stay
-          // quiesced — the keep-alive probe re-opens service on rescue.
-          accepting_ = agent_->fs_ops_allowed();
-        } else {
-          accepting_ = true;
-        }
-        if (hb_sched_) {
-          if (hb_sched_->running()) hb_sched_->stop();
-          hb_sched_->start();
-        }
-        if (can_reassert) {
-          reassert_locks();
-        } else if (re_registration) {
-          // Lease not even valid: too late to reassert safely — drop
-          // everything. A new incarnation also numbers generations from
-          // scratch.
-          invalidate_everything();
-          if (server_restarted) reset_lock_generations();
-        }
-        if (on_registered) on_registered();
-        return;
-      }
+    vol_.register_inflight = false;
+    const auto rep = expect<protocol::RegisterReply>(ev);
+    if (!rep.ok()) {
+      schedule_register_retry();
+      return;
     }
-    schedule_register_retry();
+    const protocol::RegisterReply& reg = *rep.value();
+    transport_.set_session(reg.epoch, reg.incarnation);
+    const bool server_restarted =
+        vol_.server_incarnation != 0 && reg.incarnation != vol_.server_incarnation;
+    // ANY re-registration means the server had no session for us — it
+    // restarted, or it declared us failed and stole our locks. Either way
+    // every lock we think we hold must be re-verified (section 6):
+    // reassert_locks() confirms each with the server and drops the ones it
+    // refuses. Re-registering and silently keeping the old lock table would
+    // serve stale cache under locks granted elsewhere.
+    const bool re_registration = vol_.server_incarnation != 0;
+    const bool can_reassert =
+        re_registration && (agent_ == nullptr || agent_->lease_valid());
+    vol_.server_incarnation = reg.incarnation;
+    vol_.registered = true;
+    if (agent_) {
+      if (agent_->lease_valid() && !agent_->nack_latched()) {
+        agent_->renew(ev.first_send);
+      } else {
+        // NACK-latched or expired: the successful registration opened a FRESH
+        // contract (new epoch at the server), so the old lease's quiesce
+        // discipline no longer applies. renew() would refuse while latched
+        // and the client would expire moments after resuming service,
+        // dropping writes accepted in the window. Anchor the new lease at the
+        // RegisterReq's first send (t_C1).
+        agent_->restart(ev.first_send);
+      }
+      // A retried RegisterReq can anchor so far back that the lease is
+      // already in ride-down; resuming service then would buffer dirty data
+      // inside the flush window and lose it at expiry. Stay quiesced — the
+      // keep-alive probe re-opens service on rescue.
+      vol_.accepting = agent_->fs_ops_allowed();
+    } else {
+      vol_.accepting = true;
+    }
+    if (hb_sched_) {
+      if (hb_sched_->running()) hb_sched_->stop();
+      hb_sched_->start();
+    }
+    if (can_reassert) {
+      reassert_locks();
+    } else if (re_registration) {
+      // Lease not even valid: too late to reassert safely — drop everything.
+      // A new incarnation also numbers generations from scratch.
+      invalidate_everything(server_restarted);
+    }
+    if (on_registered) on_registered();
   });
 }
 
 void Client::schedule_register_retry() {
-  if (crashed_ || registered_ || !cfg_.auto_reregister || register_timer_ != 0) return;
-  register_timer_ = clock_.schedule_after(cfg_.reregister_retry, [this]() {
-    register_timer_ = 0;
+  if (crashed_ || vol_.registered || vol_.register_timer != 0) return;
+  vol_.register_timer = clock_.schedule_after(kReregisterRetry, [this]() {
+    vol_.register_timer = 0;
     register_with_server();
   });
 }
 
 void Client::handle_stale_session() {
-  if (crashed_ || !registered_) {
+  if (crashed_ || !vol_.registered) {
     return;  // a registration is already on its way
   }
-  registered_ = false;
+  vol_.registered = false;
   // Keep the cache, the lock table and the lease: the failure is at the
   // SERVER; our contract (and dirty data) remain valid while the lease
   // lives. Outstanding requests will fail; the workload retries.
@@ -415,44 +423,33 @@ void Client::reassert_locks() {
   // The new incarnation numbers lock generations from scratch — for EVERY
   // file, not only the ones we reassert, or a stale pre-crash generation
   // would make us discard the new incarnation's grants and demands.
-  for (auto& [file, fs] : files_) {
-    fs.lock_gen = 0;
-    fs.lock_cookie = 0;
-    fs.pending_mode = LockMode::kNone;
-    fs.revoking = false;
-    fs.revoke_target = LockMode::kNone;
-    fs.deferred_demand.reset();
+  for (auto& [file, fs] : vol_.files) {
+    forget_lock_state(fs, /*new_incarnation=*/true);
   }
-  for (auto& [file, fs] : files_) {
+  for (auto& [file, fs] : vol_.files) {
     if (fs.mode == LockMode::kNone) continue;
-    const LockMode mode = fs.mode;
     transport_.send_request(
-        protocol::ReassertLockReq{file, mode},
+        protocol::ReassertLockReq{file, fs.mode},
         [this, file_id = file](const protocol::ReplyEvent& ev) {
-          auto fit = files_.find(file_id);
-          if (fit == files_.end()) return;
-          if (ev.outcome == protocol::ReplyOutcome::kAck) {
-            if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
-              if (rep->granted) {
-                fit->second.lock_gen = rep->gen;
-                fit->second.lock_cookie = rep->cookie;
-                return;
-              }
-            }
+          auto fit = vol_.files.find(file_id);
+          if (fit == vol_.files.end()) return;
+          const auto rep = expect<protocol::LockReply>(ev);
+          if (rep.ok() && rep.value()->granted) {
+            fit->second.lock_gen = rep.value()->gen;
+            fit->second.lock_cookie = rep.value()->cookie;
+            return;
           }
           // Reassertion refused or lost: the lock (and cache) for this file
           // are gone. Dirty pages here are unprotected — drop them; the
           // checker charges this to the server-crash scenario, exactly the
           // data-loss window reassertion is meant to close.
-          cache_.invalidate_file(file_id);
-          fit->second.mode = LockMode::kNone;
-          ++fit->second.mode_seq;
+          set_mode(fit->second, LockMode::kNone);
         });
   }
 }
 
 void Client::handle_lease_expired() {
-  if (!registered_ && !accepting_) {
+  if (!vol_.registered && !vol_.accepting) {
     return;  // already torn down
   }
   if (cfg_.byzantine.write_after_expiry) {
@@ -460,38 +457,23 @@ void Client::handle_lease_expired() {
     // flusher keeps pushing these pages to the SAN under the superseded key.
     snapshot_rogue_writes();
   }
-  registered_ = false;
-  accepting_ = false;
+  vol_.registered = false;
+  vol_.accepting = false;
   transport_.abandon_pending();
   abort_size_rounds(ErrorCode::kLeaseExpired);
   fail_all_lock_waits(ErrorCode::kLeaseExpired);
-  invalidate_everything();
+  invalidate_everything(/*new_incarnation=*/false);
   if (hb_sched_ && hb_sched_->running()) hb_sched_->stop();
   if (v_sched_) v_sched_->clear();
-  if (on_lease_expired) on_lease_expired();
-  if (cfg_.auto_reregister) {
-    register_with_server();
-    schedule_register_retry();
-  }
+  register_with_server();
+  schedule_register_retry();
 }
 
-void Client::invalidate_everything() {
-  cache_.invalidate_all();
-  for (auto& [file, fs] : files_) {
-    fs.mode = LockMode::kNone;
-    ++fs.mode_seq;
-    fs.pending_mode = LockMode::kNone;
-    fs.revoking = false;
-    fs.revoke_target = LockMode::kNone;
-    fs.deferred_demand.reset();
+void Client::invalidate_everything(bool new_incarnation) {
+  for (auto& [file, fs] : vol_.files) {
+    set_mode(fs, LockMode::kNone);
+    forget_lock_state(fs, new_incarnation);
     fs.attr_known = false;
-  }
-}
-
-void Client::reset_lock_generations() {
-  for (auto& [file, fs] : files_) {
-    fs.lock_gen = 0;
-    fs.lock_cookie = 0;
   }
 }
 
@@ -500,40 +482,45 @@ core::LeasePhase Client::lease_phase() const {
 }
 
 // ---------------------------------------------------------------------------
-// Gating & lookup
+// Admission & lookup
 
-bool Client::gate(ErrorCode& why) const {
+template <class Cb>
+bool Client::admit(Cb& cb) {
+  ErrorCode why = ErrorCode::kOk;
   if (crashed_) {
     why = ErrorCode::kShutdown;
-    return false;
-  }
-  if (!registered_) {
+  } else if (!vol_.registered) {
     why = ErrorCode::kLeaseExpired;
-    return false;
-  }
-  if (!accepting_) {
+  } else if (!vol_.accepting) {
     why = ErrorCode::kQuiesced;
-    return false;
-  }
-  // Frangipani-style lease: validity is checked on every operation (a
-  // heartbeat-tick-only check would serve stale cache in the gap between
-  // true expiry and the next tick).
-  if (hb_sched_ && !hb_sched_->lease_valid(clock_.now())) {
+  } else if (hb_sched_ && !hb_sched_->lease_valid(clock_.now())) {
+    // Frangipani-style lease: validity is checked on every operation (a
+    // heartbeat-tick-only check would serve stale cache in the gap between
+    // true expiry and the next tick).
     why = ErrorCode::kLeaseExpired;
-    return false;
   }
-  return true;
+  if (why == ErrorCode::kOk) return true;
+  cb(why);
+  return false;
+}
+
+template <class Cb>
+Client::FileState* Client::admit(Cb& cb, Fd fd) {
+  if (!admit(cb)) return nullptr;
+  FileState* fs = state_of(fd);
+  if (fs == nullptr) cb(ErrorCode::kBadHandle);
+  return fs;
 }
 
 Client::FileState* Client::state_of(Fd fd) {
-  const FileId* file = fds_.find(fd);
+  const FileId* file = vol_.fds.find(fd);
   if (file == nullptr) return nullptr;
-  auto fit = files_.find(*file);
-  return fit == files_.end() ? nullptr : &fit->second;
+  auto fit = vol_.files.find(*file);
+  return fit == vol_.files.end() ? nullptr : &fit->second;
 }
 
 Client::FileState& Client::state_for(FileId file) {
-  auto [it, inserted] = files_.try_emplace(file);
+  auto [it, inserted] = vol_.files.try_emplace(file);
   if (inserted) {
     it->second.file = file;
   }
@@ -541,177 +528,102 @@ Client::FileState& Client::state_for(FileId file) {
 }
 
 protocol::LockMode Client::lock_mode(Fd fd) const {
-  const FileId* file = fds_.find(fd);
+  const FileId* file = vol_.fds.find(fd);
   if (file == nullptr) return LockMode::kNone;
-  auto fit = files_.find(*file);
-  return fit == files_.end() ? LockMode::kNone : fit->second.mode;
+  auto fit = vol_.files.find(*file);
+  return fit == vol_.files.end() ? LockMode::kNone : fit->second.mode;
 }
 
 // ---------------------------------------------------------------------------
 // Public file API
 
 void Client::open(const std::string& path, bool create, std::function<void(Result<Fd>)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
+  if (!admit(cb)) return;
   transport_.send_request(
       protocol::OpenReq{path, create}, [this, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+        const auto rep = expect<protocol::OpenReply>(ev);
+        if (!rep.ok()) {
+          cb(rep.error());
           return;
         }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
-          return;
-        }
-        const auto* rep = std::get_if<protocol::OpenReply>(&ev.body);
-        if (rep == nullptr) {
-          cb(ErrorCode::kInvalidArgument);
-          return;
-        }
-        FileState& fs = state_for(rep->file);
-        fs.attr = rep->attr;
-        fs.extents = rep->extents;
+        FileState& fs = state_for(rep.value()->file);
+        fs.attr = rep.value()->attr;
+        fs.extents = rep.value()->extents;
         fs.attr_known = true;
         fs.last_validate = clock_.now();
         ++fs.open_count;
         const Fd fd = next_fd_++;
-        fds_.insert(fd, rep->file);
-        ++ops_completed_;
+        vol_.fds.insert(fd, rep.value()->file);
         cb(fd);
       });
 }
 
 void Client::close(Fd fd, std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
-  const FileId file = fs->file;
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   if (fs->open_count > 0) {
     --fs->open_count;
   }
-  fds_.erase(fd);
+  vol_.fds.erase(fd);
   // Cached data and locks are deliberately RETAINED across close — that is
   // the whole point of lease-protected caching.
-  transport_.send_request(protocol::CloseReq{file},
-                          [this, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-                            ++ops_completed_;
-                            cb(ev.outcome == protocol::ReplyOutcome::kAck
-                                   ? Status::ok()
-                                   : Status{ErrorCode::kTimeout});
+  transport_.send_request(protocol::CloseReq{fs->file},
+                          [cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+                            cb(expect<protocol::OkReply>(ev).error());
                           });
 }
 
 void Client::getattr(Fd fd, std::function<void(Result<protocol::FileAttr>)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
-  const FileId file = fs->file;
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   transport_.send_request(
-      protocol::GetAttrReq{file},
-      [this, file, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+      protocol::GetAttrReq{fs->file},
+      [this, file = fs->file, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+        const auto rep = expect<protocol::AttrReply>(ev);
+        if (!rep.ok()) {
+          cb(rep.error());
           return;
         }
-        if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
-          fs2.attr_known = true;
-          fs2.last_validate = clock_.now();
-          ++ops_completed_;
-          cb(rep->attr);
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
-          return;
-        }
-        cb(ErrorCode::kInvalidArgument);
+        FileState& fs2 = state_for(file);
+        fs2.attr = rep.value()->attr;
+        fs2.extents = rep.value()->extents;
+        fs2.attr_known = true;
+        fs2.last_validate = clock_.now();
+        cb(rep.value()->attr);
       });
 }
 
 void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len,
                   std::function<void(Result<Bytes>)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
-  const FileId file = fs->file;
-
-  if (cfg_.coherence == CoherenceMode::kNfsPoll) {
-    maybe_revalidate(*fs, [this, file, offset, len, cb = std::move(cb)](Status st) {
-      if (!st.is_ok()) {
-        cb(st.error());
-        return;
-      }
-      FileState& fs2 = state_for(file);
-      if (cfg_.data_path == DataPath::kServerShipped) {
-        read_shipped(fs2, offset, len, std::move(cb));
-      } else {
-        read_direct(fs2, offset, len, std::move(cb));
-      }
-    });
-    return;
-  }
-
-  ensure_lock(file, LockMode::kShared, [this, file, offset, len, cb = std::move(cb)](Status st) {
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
+  auto then_read = [this, file = fs->file, offset, len, cb = std::move(cb)](Status st) mutable {
     if (!st.is_ok()) {
       cb(st.error());
       return;
     }
-    FileState& fs2 = state_for(file);
-    if (cfg_.data_path == DataPath::kServerShipped) {
-      read_shipped(fs2, offset, len, std::move(cb));
-    } else {
-      read_direct(fs2, offset, len, std::move(cb));
-    }
-  });
+    read_data(file, offset, len, std::move(cb));
+  };
+  if (cfg_.coherence == CoherenceMode::kNfsPoll) {
+    maybe_revalidate(*fs, std::move(then_read));
+  } else {
+    ensure_lock(fs->file, LockMode::kShared, std::move(then_read));
+  }
+}
+
+void Client::read_data(FileId file, std::uint64_t offset, std::uint32_t len,
+                       std::function<void(Result<Bytes>)> cb) {
+  FileState& fs = state_for(file);
+  if (cfg_.data_path == DataPath::kServerShipped) {
+    read_shipped(fs, offset, len, std::move(cb));
+  } else {
+    read_direct(fs, offset, len, std::move(cb));
+  }
 }
 
 void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
-  const FileId file = fs->file;
-
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   if (cfg_.coherence == CoherenceMode::kNfsPoll ||
       cfg_.data_path == DataPath::kServerShipped) {
     // Traditional/NFS path: ship the write; the server grows the file.
@@ -719,6 +631,7 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(S
     return;
   }
 
+  const FileId file = fs->file;
   ensure_lock(file, LockMode::kExclusive,
               [this, file, offset, data = std::move(data), cb = std::move(cb)](Status st) mutable {
                 if (!st.is_ok()) {
@@ -741,8 +654,8 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(S
                               // Buffering now would dirty the cache under a
                               // serialization this write was not issued in —
                               // fail and let the caller retry afresh.
-                              auto fit = files_.find(file);
-                              if (fit == files_.end() || fit->second.mode_seq != seq ||
+                              auto fit = vol_.files.find(file);
+                              if (fit == vol_.files.end() || fit->second.mode_seq != seq ||
                                   fit->second.mode != LockMode::kExclusive ||
                                   fit->second.revoking) {
                                 cb(Status{ErrorCode::kLockConflict});
@@ -755,32 +668,14 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(S
 }
 
 void Client::lock(Fd fd, protocol::LockMode mode, std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   ensure_lock(fs->file, mode, std::move(cb));
 }
 
 void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   const FileId file = fs->file;
   if (fs->revoking) {
     cb(ErrorCode::kLockConflict);  // a server demand is already downgrading us
@@ -791,7 +686,7 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(
     return;
   }
 
-  if (fs->mode == LockMode::kExclusive && cache_.has_dirty(file)) {
+  if (fs->mode == LockMode::kExclusive && vol_.cache.has_dirty(file)) {
     flush_file(file, [this, file, downgrade_to, cb = std::move(cb)](Status st) mutable {
       if (!st.is_ok()) {
         // Keep the lock — dirty data must not be orphaned — but tell the
@@ -809,63 +704,62 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(
 }
 
 void Client::do_unlock(FileId file, LockMode downgrade_to, std::function<void(Status)> cb) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) {
     cb(Status{ErrorCode::kShutdown});
     return;
   }
   FileState& fs = fit->second;
-  fs.mode = downgrade_to;
-  ++fs.mode_seq;
-  if (downgrade_to == LockMode::kNone) {
-    cache_.invalidate_file(file);
-    if (v_sched_) v_sched_->object_released(file);
-  }
+  set_mode(fs, downgrade_to);
   transport_.send_request(protocol::UnlockReq{file, downgrade_to, fs.lock_gen, fs.lock_cookie},
                           [cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-                            cb(ev.outcome == protocol::ReplyOutcome::kAck
-                                   ? Status::ok()
-                                   : Status{ErrorCode::kTimeout});
+                            cb(expect<protocol::OkReply>(ev).error());
                           });
 }
 
 void Client::sync_all(std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    cb(why);
-    return;
-  }
+  if (!admit(cb)) return;
   flush_all(std::move(cb));
 }
 
 void Client::fsync(Fd fd, std::function<void(Status)> cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(cb, fd);
+  if (fs == nullptr) return;
   flush_file(fs->file, std::move(cb));
 }
 
 // ---------------------------------------------------------------------------
 // Locking
 
+void Client::set_mode(FileState& fs, LockMode mode, bool v_lease_lapsed) {
+  fs.mode = mode;
+  ++fs.mode_seq;
+  if (mode == LockMode::kNone) {
+    vol_.cache.invalidate_file(fs.file);
+    if (v_sched_ && !v_lease_lapsed) v_sched_->object_released(fs.file);
+  }
+}
+
+void Client::forget_lock_state(FileState& fs, bool new_incarnation) {
+  fs.pending_mode = LockMode::kNone;
+  fs.revoking = false;
+  fs.revoke_target = LockMode::kNone;
+  fs.deferred_demand.reset();
+  if (new_incarnation) {
+    fs.lock_gen = 0;
+    fs.lock_cookie = 0;
+  }
+}
+
 void Client::ensure_lock(FileId file, LockMode mode, std::function<void(Status)> cb) {
   FileState& fs = state_for(file);
   // Per-object (V-lease) strategy: the lock is only usable while its lease
   // lives. Checked on EVERY operation, not only at scheduler ticks, so an
-  // expired object can never serve stale cache in the detection gap.
+  // expired object can never serve stale cache in the detection gap. The
+  // object itself is left to the scheduler, whose expiry fails the waiters.
   if (v_sched_ && fs.mode != LockMode::kNone &&
       !v_sched_->object_valid(file, clock_.now())) {
-    cache_.invalidate_file(file);
-    fs.mode = LockMode::kNone;
-    ++fs.mode_seq;
+    set_mode(fs, LockMode::kNone, /*v_lease_lapsed=*/true);
   }
   // An exclusive request must not overtake an in-progress revocation: a page
   // dirtied between the revocation flush and the downgrade would survive
@@ -889,8 +783,8 @@ void Client::ensure_lock(FileId file, LockMode mode, std::function<void(Status)>
 }
 
 void Client::pump_lock_requests(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) return;
   FileState& fs = fit->second;
   if (fs.revoking) return;  // re-pumped when the demand completes
 
@@ -909,39 +803,28 @@ void Client::pump_lock_requests(FileId file) {
   fs.pending_mode = want;
   transport_.send_request(
       protocol::LockReq{file, want}, [this, file](const protocol::ReplyEvent& ev) {
-        auto fit2 = files_.find(file);
-        if (fit2 == files_.end()) {
+        auto fit2 = vol_.files.find(file);
+        if (fit2 == vol_.files.end()) {
           return;  // state discarded (crash) while in flight
         }
-        FileState& fs2 = fit2->second;
-        if (ev.outcome == protocol::ReplyOutcome::kAck) {
-          if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
-            if (rep->granted) {
-              fs2.pending_mode = LockMode::kNone;
-              apply_grant(file, rep->mode, rep->gen, rep->cookie);
-            }
-            // Queued: pending_mode stays set; a LockGrant will arrive.
-            return;
+        const auto rep = expect<protocol::LockReply>(ev);
+        if (rep.ok()) {
+          if (rep.value()->granted) {
+            fit2->second.pending_mode = LockMode::kNone;
+            apply_grant(file, rep.value()->mode, rep.value()->gen, rep.value()->cookie);
           }
-          if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-            fs2.pending_mode = LockMode::kNone;
-            if (err->code == ErrorCode::kRetryLater || err->code == ErrorCode::kStaleSession) {
-              // Post-restart grace period (or session refresh in flight):
-              // keep the waiters and retry shortly.
-              clock_.schedule_after(sim::local_millis(300),
-                                    [this, file]() { pump_lock_requests(file); });
-              return;
-            }
-            fail_lock_waits(file, err->code);
-            return;
-          }
-          fs2.pending_mode = LockMode::kNone;
-          fail_lock_waits(file, ErrorCode::kInvalidArgument);
+          // Queued: pending_mode stays set; a LockGrant will arrive.
           return;
         }
-        fs2.pending_mode = LockMode::kNone;
-        fail_lock_waits(file, ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                          : ErrorCode::kTimeout);
+        fit2->second.pending_mode = LockMode::kNone;
+        if (rep.error() == ErrorCode::kRetryLater || rep.error() == ErrorCode::kStaleSession) {
+          // Post-restart grace period (or session refresh in flight): keep
+          // the waiters and retry shortly.
+          clock_.schedule_after(sim::local_millis(300),
+                                [this, file]() { pump_lock_requests(file); });
+          return;
+        }
+        fail_lock_waits(file, rep.error());
       });
 }
 
@@ -952,8 +835,7 @@ void Client::apply_grant(FileId file, LockMode mode, std::uint32_t gen, std::uin
   }
   fs.lock_gen = gen;
   fs.lock_cookie = cookie;
-  fs.mode = mode;
-  ++fs.mode_seq;
+  set_mode(fs, mode);
   if (mode_leq(fs.pending_mode, mode)) {
     fs.pending_mode = LockMode::kNone;
   }
@@ -995,8 +877,8 @@ void Client::lock_state_changed(FileId file) {
 }
 
 void Client::fail_lock_waits(FileId file, ErrorCode code) {
-  auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.lock_waits.empty()) return;
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end() || fit->second.lock_waits.empty()) return;
   SmallVec<LockWait, 2> failed = std::move(fit->second.lock_waits);
   for (auto& w : failed) {
     w.cb(Status{code});
@@ -1005,9 +887,9 @@ void Client::fail_lock_waits(FileId file, ErrorCode code) {
 
 void Client::fail_all_lock_waits(ErrorCode code) {
   // Collect every waiter first: a failure callback may re-enter and mutate
-  // files_ (this is the expiry/teardown path, not a hot one).
+  // the file table (this is the expiry/teardown path, not a hot one).
   std::vector<LockWait> failed;
-  for (auto& [file, fs] : files_) {
+  for (auto& [file, fs] : vol_.files) {
     for (auto& w : fs.lock_waits) {
       failed.push_back(std::move(w));
     }
@@ -1072,8 +954,8 @@ void Client::handle_demand(const protocol::LockDemand& d) {
 }
 
 void Client::process_demand(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) return;
   FileState& fs = fit->second;
   if (!fs.revoking) return;  // resolved meanwhile (e.g. lease expiry)
 
@@ -1083,12 +965,12 @@ void Client::process_demand(FileId file) {
     return;
   }
 
-  if (fs.mode == LockMode::kExclusive && cache_.has_dirty(file)) {
+  if (fs.mode == LockMode::kExclusive && vol_.cache.has_dirty(file)) {
     // Dirty data protected by this lock must reach the disk before the lock
     // is ceded (the consistency guarantee fencing alone cannot provide).
     flush_file(file, [this, file](Status st) {
-      auto fit2 = files_.find(file);
-      if (fit2 == files_.end() || !fit2->second.revoking) return;
+      auto fit2 = vol_.files.find(file);
+      if (fit2 == vol_.files.end() || !fit2->second.revoking) return;
       if (st.is_ok()) {
         finish_demand(file);
       } else {
@@ -1105,20 +987,14 @@ void Client::process_demand(FileId file) {
 }
 
 void Client::finish_demand(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) return;
   FileState& fs = fit->second;
   if (!fs.revoking) return;
-  const LockMode target = fs.revoke_target;
   const std::uint32_t gen = fs.lock_gen;
-  if (!mode_leq(fs.mode, target)) {
-    fs.mode = target;
-    ++fs.mode_seq;
-    if (target == LockMode::kNone) {
-      // Relinquishing entirely: the cache contents are no longer protected.
-      cache_.invalidate_file(file);
-      if (v_sched_) v_sched_->object_released(file);
-    }
+  if (!mode_leq(fs.mode, fs.revoke_target)) {
+    // Relinquishing entirely (kNone) also drops the now unprotected pages.
+    set_mode(fs, fs.revoke_target);
   }
   fs.revoking = false;
   transport_.send_request(protocol::DemandDoneReq{file, fs.mode, gen, fs.lock_cookie},
@@ -1145,8 +1021,8 @@ void Client::ensure_size(FileState& fs, std::uint64_t min_size, std::function<vo
 }
 
 void Client::pump_size_round(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) return;
   FileState& fs = fit->second;
   if (fs.size_waiters.empty()) {
     fs.size_round_inflight = false;
@@ -1160,23 +1036,17 @@ void Client::pump_size_round(FileId file) {
   transport_.send_request(
       protocol::SetSizeReq{file, want, /*truncate=*/false},
       [this, file](const protocol::ReplyEvent& ev) {
-        auto fit2 = files_.find(file);
-        if (fit2 == files_.end()) return;
+        auto fit2 = vol_.files.find(file);
+        if (fit2 == vol_.files.end()) return;
         FileState& fs2 = fit2->second;
         fs2.size_round_inflight = false;
 
-        Status st = Status::ok();
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          st = Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                  : ErrorCode::kTimeout};
-        } else if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
+        const auto rep = expect<protocol::AttrReply>(ev);
+        const Status st = rep.error();
+        if (rep.ok()) {
+          fs2.attr = rep.value()->attr;
+          fs2.extents = rep.value()->extents;
           fs2.attr_known = true;
-        } else if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          st = Status{err->code};
-        } else {
-          st = Status{ErrorCode::kInvalidArgument};
         }
 
         if (!st.is_ok()) {
@@ -1191,8 +1061,8 @@ void Client::pump_size_round(FileId file) {
         // Serve the satisfied prefix strictly in arrival order; a waiter
         // queued mid-flight may need a bigger size and starts a new round.
         while (true) {
-          auto fit3 = files_.find(file);
-          if (fit3 == files_.end()) return;
+          auto fit3 = vol_.files.find(file);
+          if (fit3 == vol_.files.end()) return;
           FileState& fs3 = fit3->second;
           if (fs3.size_waiters.empty() || !fs3.attr_known ||
               fs3.attr.size < fs3.size_waiters.front().min_size) {
@@ -1208,7 +1078,7 @@ void Client::pump_size_round(FileId file) {
 
 void Client::abort_size_rounds(ErrorCode why) {
   std::vector<std::function<void(Status)>> cbs;
-  for (auto& [file, fs] : files_) {
+  for (auto& [file, fs] : vol_.files) {
     for (auto& w : fs.size_waiters) {
       cbs.push_back(std::move(w.cb));
     }
@@ -1223,6 +1093,10 @@ void Client::abort_size_rounds(ErrorCode why) {
 // ---------------------------------------------------------------------------
 // Direct SAN data path
 
+std::uint64_t Client::io_key() const {
+  return (static_cast<std::uint64_t>(vol_.server_incarnation) << 32) | transport_.epoch();
+}
+
 void Client::fetch_block(FileState& fs, std::uint64_t fb, std::function<void(Result<Bytes>)> cb) {
   DiskId disk;
   storage::BlockAddr addr;
@@ -1236,7 +1110,7 @@ void Client::fetch_block(FileState& fs, std::uint64_t fb, std::function<void(Res
   io.op = storage::IoOp::kRead;
   io.addr = addr;
   io.count = 1;
-  io.io_key = (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
+  io.io_key = io_key();
   const std::uint32_t gen = gen_;
   san_->submit(std::move(io), [this, gen, cb = std::move(cb)](storage::IoResult res) {
     if (gen != gen_) return;  // completion from a previous incarnation
@@ -1253,7 +1127,6 @@ void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
   const std::uint64_t size = fs.attr.size;
   const std::uint64_t end = std::min<std::uint64_t>(size, offset + len);
   if (end <= offset) {
-    ++ops_completed_;
     cb(Bytes{});
     return;
   }
@@ -1278,7 +1151,6 @@ void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
       fan->cb(fan->status.error());
       return;
     }
-    ++ops_completed_;
     enforce_cache_limit();
     fan->cb(std::move(fan->buf));
   };
@@ -1289,7 +1161,7 @@ void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
   // with an unprotected (and soon stale) page.
   const std::uint32_t fetch_gen = fs.lock_gen;
   for (const auto& s : slices) {
-    if (BlockCache::Page* page = cache_.find(file, s.file_block)) {
+    if (BlockCache::Page* page = vol_.cache.find(file, s.file_block)) {
       std::copy_n(page->data.begin() + s.offset_in_block, s.len,
                   fan->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
       complete(Status::ok());
@@ -1302,14 +1174,14 @@ void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
       }
       std::copy_n(res.value().begin() + s.offset_in_block, s.len,
                   fan->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
-      auto fit2 = files_.find(file);
-      const bool lock_intact = fit2 != files_.end() && fit2->second.lock_gen == fetch_gen &&
+      auto fit2 = vol_.files.find(file);
+      const bool lock_intact = fit2 != vol_.files.end() && fit2->second.lock_gen == fetch_gen &&
                                fit2->second.mode != LockMode::kNone;
       const bool cacheable =
           cfg_.coherence == CoherenceMode::kNfsPoll ? true : lock_intact;
       // Also never clobber a page that appeared (dirty) while we fetched.
-      if (cacheable && cache_.peek(file, s.file_block) == nullptr) {
-        cache_.put(file, s.file_block, std::move(res).value(), /*dirty=*/false);
+      if (cacheable && vol_.cache.peek(file, s.file_block) == nullptr) {
+        vol_.cache.put(file, s.file_block, std::move(res).value(), /*dirty=*/false);
       } else {
         recycle_buf(std::move(res).value());
       }
@@ -1335,7 +1207,6 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
   auto complete = [this, fan](Status st) {
     if (!st.is_ok() && fan->status.is_ok()) fan->status = st;
     if (++fan->seen != fan->expected) return;
-    if (fan->status.is_ok()) ++ops_completed_;
     enforce_cache_limit();
     recycle_buf(std::move(fan->data));  // every slice has consumed its span
     fan->cb(fan->status);
@@ -1346,11 +1217,11 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
       Bytes block = take_buf();
       block.assign(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset),
                    fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset + s.len));
-      cache_.put(file, s.file_block, std::move(block), /*dirty=*/true);
+      vol_.cache.put(file, s.file_block, std::move(block), /*dirty=*/true);
       complete(Status::ok());
       continue;
     }
-    if (BlockCache::Page* page = cache_.find(file, s.file_block)) {
+    if (BlockCache::Page* page = vol_.cache.find(file, s.file_block)) {
       std::copy_n(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset), s.len,
                   page->data.begin() + s.offset_in_block);
       page->dirty = true;
@@ -1362,8 +1233,8 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
     ++fs.writes_in_flight;
     const std::uint64_t seq = fs.mode_seq;
     fetch_block(fs, s.file_block, [this, file, s, seq, fan, complete](Result<Bytes> res) {
-      auto fit2 = files_.find(file);
-      if (fit2 != files_.end() && fit2->second.writes_in_flight > 0) {
+      auto fit2 = vol_.files.find(file);
+      if (fit2 != vol_.files.end() && fit2->second.writes_in_flight > 0) {
         --fit2->second.writes_in_flight;
       }
       if (!res.ok()) {
@@ -1373,7 +1244,7 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
       // Demands wait on writes_in_flight, but a lease ride-down does not:
       // if the lock changed while the fill was in flight, the dirty put
       // would outlive its serialization.
-      if (fit2 == files_.end() || fit2->second.mode_seq != seq ||
+      if (fit2 == vol_.files.end() || fit2->second.mode_seq != seq ||
           fit2->second.mode != LockMode::kExclusive) {
         recycle_buf(std::move(res).value());
         complete(Status{ErrorCode::kLockConflict});
@@ -1382,7 +1253,7 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
       Bytes block = std::move(res).value();
       std::copy_n(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset), s.len,
                   block.begin() + s.offset_in_block);
-      cache_.put(file, s.file_block, std::move(block), /*dirty=*/true);
+      vol_.cache.put(file, s.file_block, std::move(block), /*dirty=*/true);
       complete(Status::ok());
     });
   }
@@ -1403,7 +1274,7 @@ void Client::read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len
     const std::uint32_t bs = cfg_.block_size;
     bool all_cached = true;
     for (std::uint64_t fb = offset / bs; fb <= (end - 1) / bs; ++fb) {
-      if (cache_.peek(file, fb) == nullptr) {
+      if (vol_.cache.peek(file, fb) == nullptr) {
         all_cached = false;
         break;
       }
@@ -1416,12 +1287,11 @@ void Client::read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len
         const std::uint32_t in_block = static_cast<std::uint32_t>(pos % bs);
         const std::uint32_t take =
             static_cast<std::uint32_t>(std::min<std::uint64_t>(bs - in_block, end - pos));
-        const BlockCache::Page* page = cache_.find(file, fb);
+        const BlockCache::Page* page = vol_.cache.find(file, fb);
         std::copy_n(page->data.begin() + in_block, take,
                     out.begin() + static_cast<std::ptrdiff_t>(pos - offset));
         pos += take;
       }
-      ++ops_completed_;
       cb(std::move(out));
       return;
     }
@@ -1430,35 +1300,27 @@ void Client::read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len
   transport_.send_request(
       protocol::ReadDataReq{file, offset, len},
       [this, file, offset, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+        const auto rep = expect<protocol::DataReply>(ev);
+        if (!rep.ok()) {
+          cb(rep.error());
           return;
         }
-        if (const auto* rep = std::get_if<protocol::DataReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
-          // The server clamped by its own size; what came back proves the
-          // file extends at least this far.
-          fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset + rep->data.size());
-          // Cache fully covered blocks for future hits (NFS-style caching).
-          const std::uint32_t bs = cfg_.block_size;
-          if (offset % bs == 0) {
-            for (std::uint64_t off = 0; off + bs <= rep->data.size(); off += bs) {
-              Bytes block = take_buf();
-              block.assign(rep->data.begin() + static_cast<std::ptrdiff_t>(off),
-                           rep->data.begin() + static_cast<std::ptrdiff_t>(off + bs));
-              cache_.put(file, (offset + off) / bs, std::move(block), /*dirty=*/false);
-            }
+        const Bytes& data = rep.value()->data;
+        FileState& fs2 = state_for(file);
+        // The server clamped by its own size; what came back proves the file
+        // extends at least this far.
+        fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset + data.size());
+        // Cache fully covered blocks for future hits (NFS-style caching).
+        const std::uint32_t bs = cfg_.block_size;
+        if (offset % bs == 0) {
+          for (std::uint64_t off = 0; off + bs <= data.size(); off += bs) {
+            Bytes block = take_buf();
+            block.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
+                         data.begin() + static_cast<std::ptrdiff_t>(off + bs));
+            vol_.cache.put(file, (offset + off) / bs, std::move(block), /*dirty=*/false);
           }
-          ++ops_completed_;
-          cb(rep->data);
-          return;
         }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
-          return;
-        }
-        cb(ErrorCode::kInvalidArgument);
+        cb(data);
       });
 }
 
@@ -1467,27 +1329,18 @@ void Client::write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
   const FileId file = fs.file;
   const std::uint64_t end = offset + data.size();
   // Write-through: the cached copies of the touched blocks are stale now;
-  // drop them rather than patching partially covered pages.
-  const std::uint32_t bs = cfg_.block_size;
-  for (std::uint64_t fb = offset / bs; fb <= (end > 0 ? (end - 1) / bs : 0); ++fb) {
-    cache_.invalidate_file(file);  // coarse but simple: whole-file drop
-    break;
-  }
+  // drop the whole file rather than patching partially covered pages.
+  vol_.cache.invalidate_file(file);
   transport_.send_request(
       protocol::WriteDataReq{file, offset, std::move(data)},
       [this, file, end, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                : ErrorCode::kTimeout});
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(Status{err->code});
+        const auto rep = expect<protocol::OkReply>(ev);
+        if (!rep.ok()) {
+          cb(rep.error());
           return;
         }
         FileState& fs2 = state_for(file);
         fs2.attr.size = std::max(fs2.attr.size, end);
-        ++ops_completed_;
         cb(Status::ok());
       });
 }
@@ -1496,13 +1349,13 @@ void Client::write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
 // Flushing
 
 void Client::flush_file(FileId file, std::function<void(Status)> cb) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
+  auto fit = vol_.files.find(file);
+  if (fit == vol_.files.end()) {
     cb(Status::ok());
     return;
   }
   FileState& fs = fit->second;
-  auto dirty = cache_.dirty_blocks(file);
+  auto dirty = vol_.cache.dirty_blocks(file);
   if (dirty.empty()) {
     cb(Status::ok());
     return;
@@ -1513,7 +1366,7 @@ void Client::flush_file(FileId file, std::function<void(Status)> cb) {
   fan->done = std::move(cb);  // same signature — no wrapping closure needed
 
   for (std::uint64_t fb : dirty) {
-    const BlockCache::Page* page = cache_.peek(file, fb);
+    const BlockCache::Page* page = vol_.cache.peek(file, fb);
     STANK_ASSERT(page != nullptr);
     write_block_through(fs, fb, page->data, [fan](Status st) { fan->complete(st); });
   }
@@ -1533,7 +1386,7 @@ void Client::write_block_through(FileState& fs, std::uint64_t fb, const Bytes& d
   io.op = storage::IoOp::kWrite;
   io.addr = addr;
   io.count = 1;
-  io.io_key = (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
+  io.io_key = io_key();
   io.data = take_buf();  // snapshot of the page at flush time
   io.data.assign(data.begin(), data.end());
 
@@ -1548,9 +1401,9 @@ void Client::write_block_through(FileState& fs, std::uint64_t fb, const Bytes& d
                  if (res.status.is_ok()) {
                    // Only mark clean if the page still holds exactly what we
                    // wrote; a concurrent process write must stay dirty.
-                   const BlockCache::Page* page = cache_.peek(file, fb);
+                   const BlockCache::Page* page = vol_.cache.peek(file, fb);
                    if (page != nullptr && page->data == snapshot) {
-                     cache_.mark_clean(file, fb);
+                     vol_.cache.mark_clean(file, fb);
                    }
                  }
                  recycle_buf(std::move(snapshot));
@@ -1559,7 +1412,7 @@ void Client::write_block_through(FileState& fs, std::uint64_t fb, const Bytes& d
 }
 
 void Client::flush_all(std::function<void(Status)> cb) {
-  auto dirty = cache_.all_dirty();
+  auto dirty = vol_.cache.all_dirty();
   if (dirty.empty()) {
     cb(Status::ok());
     return;
@@ -1568,12 +1421,12 @@ void Client::flush_all(std::function<void(Status)> cb) {
   fan->expected = dirty.size();
   fan->done = std::move(cb);
   for (const auto& [file, fb] : dirty) {
-    auto fit = files_.find(file);
-    if (fit == files_.end()) {
+    auto fit = vol_.files.find(file);
+    if (fit == vol_.files.end()) {
       fan->complete(Status{ErrorCode::kIoError});
       continue;
     }
-    const BlockCache::Page* page = cache_.peek(file, fb);
+    const BlockCache::Page* page = vol_.cache.peek(file, fb);
     if (page == nullptr || !page->dirty) {
       fan->complete(Status::ok());
       continue;
@@ -1587,7 +1440,7 @@ void Client::flush_all(std::function<void(Status)> cb) {
 
 void Client::maybe_revalidate(FileState& fs, std::function<void(Status)> cb) {
   const sim::LocalTime now = clock_.now();
-  if (fs.attr_known && now - fs.last_validate <= cfg_.attr_timeout) {
+  if (fs.attr_known && now - fs.last_validate <= kAttrTimeout) {
     cb(Status::ok());
     return;
   }
@@ -1596,58 +1449,26 @@ void Client::maybe_revalidate(FileState& fs, std::function<void(Status)> cb) {
   transport_.send_request(
       protocol::GetAttrReq{file},
       [this, file, old_mtime, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                : ErrorCode::kTimeout});
+        const auto rep = expect<protocol::AttrReply>(ev);
+        if (!rep.ok()) {
+          cb(rep.error());
           return;
         }
-        if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
-          if (fs2.attr_known && rep->attr.mtime_ns != old_mtime) {
-            // File changed on the server: NFS semantics discard the cache.
-            cache_.invalidate_file(file);
-          }
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
-          fs2.attr_known = true;
-          fs2.last_validate = clock_.now();
-          cb(Status::ok());
-          return;
+        FileState& fs2 = state_for(file);
+        if (fs2.attr_known && rep.value()->attr.mtime_ns != old_mtime) {
+          // File changed on the server: NFS semantics discard the cache.
+          vol_.cache.invalidate_file(file);
         }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(Status{err->code});
-          return;
-        }
-        cb(Status{ErrorCode::kInvalidArgument});
+        fs2.attr = rep.value()->attr;
+        fs2.extents = rep.value()->extents;
+        fs2.attr_known = true;
+        fs2.last_validate = clock_.now();
+        cb(Status::ok());
       });
 }
 
 // ---------------------------------------------------------------------------
 // Byzantine behaviors (see client/byzantine.hpp and DESIGN.md §13)
-
-void Client::arm_byzantine_timers() {
-  if (cfg_.byzantine.replay_old_session && replay_timer_ == 0) {
-    replay_timer_ = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
-  }
-  if (cfg_.byzantine.forge_lock_claims && forge_timer_ == 0) {
-    forge_timer_ = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
-  }
-}
-
-void Client::cancel_byzantine_timers() {
-  if (rogue_timer_ != 0) {
-    clock_.cancel(rogue_timer_);
-    rogue_timer_ = 0;
-  }
-  if (replay_timer_ != 0) {
-    clock_.cancel(replay_timer_);
-    replay_timer_ = 0;
-  }
-  if (forge_timer_ != 0) {
-    clock_.cancel(forge_timer_);
-    forge_timer_ = 0;
-  }
-}
 
 std::uint32_t Client::byz_rand() {
   if (byz_rng_state_ == 0) {
@@ -1664,75 +1485,75 @@ void Client::snapshot_rogue_writes() {
   // Resolve every dirty page to its (disk, addr) NOW, with the extents and
   // registration key of the dying session; the flusher never re-resolves or
   // re-keys — that staleness is the attack.
-  rogue_io_key_ =
-      (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
-  rogue_writes_.clear();
-  for (const auto& [file, fb] : cache_.all_dirty()) {
-    auto fit = files_.find(file);
-    if (fit == files_.end()) continue;
+  vol_.rogue_io_key = io_key();
+  vol_.rogue_writes.clear();
+  for (const auto& [file, fb] : vol_.cache.all_dirty()) {
+    auto fit = vol_.files.find(file);
+    if (fit == vol_.files.end()) continue;
     DiskId disk;
     storage::BlockAddr addr;
     if (!protocol::locate_block(fit->second.extents, fb, disk, addr)) continue;
-    const BlockCache::Page* page = cache_.peek(file, fb);
+    const BlockCache::Page* page = vol_.cache.peek(file, fb);
     if (page == nullptr) continue;
-    rogue_writes_.push_back(RogueWrite{disk, addr, page->data});
+    vol_.rogue_writes.push_back(RogueWrite{disk, addr, page->data});
   }
-  if (rogue_writes_.empty()) return;
+  if (vol_.rogue_writes.empty()) return;
   // Long enough (~4s of 50ms rounds) to straddle the server's fence+steal and
   // the next holder's first writes — the window the fence must actually close.
-  rogue_rounds_left_ = 80;
-  record_byzantine(obs::ByzAction::kRogueSnapshot, rogue_writes_.size());
-  if (rogue_timer_ == 0) {
-    rogue_timer_ = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
+  vol_.rogue_rounds_left = 80;
+  record_byzantine(obs::ByzAction::kRogueSnapshot, vol_.rogue_writes.size());
+  if (vol_.rogue_timer == 0) {
+    vol_.rogue_timer =
+        clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
   }
 }
 
 void Client::rogue_flush_tick() {
-  rogue_timer_ = 0;
-  if (crashed_ || rogue_rounds_left_ == 0 || rogue_writes_.empty()) return;
-  --rogue_rounds_left_;
-  for (const auto& rw : rogue_writes_) {
+  vol_.rogue_timer = 0;
+  if (crashed_ || vol_.rogue_rounds_left == 0 || vol_.rogue_writes.empty()) return;
+  --vol_.rogue_rounds_left;
+  for (const auto& rw : vol_.rogue_writes) {
     storage::IoRequest io;
     io.initiator = cfg_.id;
     io.disk = rw.disk;
     io.op = storage::IoOp::kWrite;
     io.addr = rw.addr;
     io.count = 1;
-    io.io_key = rogue_io_key_;  // deliberately stale: the dead session's key
+    io.io_key = vol_.rogue_io_key;  // deliberately stale: the dead session's key
     io.data = rw.data;
     san_->submit(std::move(io), [](storage::IoResult) {});
   }
-  rogue_timer_ = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
+  vol_.rogue_timer = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
 }
 
 void Client::replay_tick() {
-  replay_timer_ = 0;
+  vol_.replay_timer = 0;
   if (crashed_) return;
-  if (!captured_.empty()) {
+  if (!vol_.captured.empty()) {
     // Prefer a datagram captured in a DEAD session (older epoch or server
     // incarnation); fall back to a same-session duplicate, which exercises
     // the dedup window instead.
     const std::uint32_t cur_epoch = transport_.epoch();
     const std::uint32_t cur_inc = transport_.incarnation();
     const CapturedDatagram* pick = nullptr;
-    for (const auto& c : captured_) {
+    for (const auto& c : vol_.captured) {
       if (c.epoch != cur_epoch || c.incarnation != cur_inc) {
         pick = &c;
         break;
       }
     }
     if (pick == nullptr) {
-      pick = &captured_[byz_rand() % captured_.size()];
+      pick = &vol_.captured[byz_rand() % vol_.captured.size()];
     }
     transport_.inject_datagram(pick->bytes);
   }
-  replay_timer_ = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
+  vol_.replay_timer = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
 }
 
 void Client::forge_tick() {
-  forge_timer_ = 0;
+  vol_.forge_timer = 0;
   if (crashed_) return;
-  if (registered_) {
+  if (vol_.registered) {
     // Claim release/compliance for a lock and generation this client was
     // never granted. Generations are small counters, so guessing one that is
     // current is easy — before grant cookies this released locks whose real
@@ -1740,9 +1561,9 @@ void Client::forge_tick() {
     // server must reject the claim on that mismatch. Prefer files we know
     // exist.
     FileId file{1 + (byz_rand() % 4)};
-    if (!files_.empty()) {
-      auto it = files_.begin();
-      std::advance(it, byz_rand() % files_.size());
+    if (!vol_.files.empty()) {
+      auto it = vol_.files.begin();
+      std::advance(it, byz_rand() % vol_.files.size());
       file = it->first;
     }
     const std::uint32_t gen = 1 + (byz_rand() % 4);
@@ -1756,7 +1577,7 @@ void Client::forge_tick() {
                               [](const protocol::ReplyEvent&) {});
     }
   }
-  forge_timer_ = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
+  vol_.forge_timer = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
 }
 
 void Client::record_byzantine(obs::ByzAction action, std::uint64_t detail) {

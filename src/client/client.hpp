@@ -17,6 +17,14 @@
 // All public calls are asynchronous: the simulation is event-driven, so a
 // call schedules work and the callback fires when it completes. Callbacks
 // always fire exactly once.
+//
+// A crash splits the client's state in two. Everything it loses (the file
+// and fd tables, the page cache's pages, registration flags and timers,
+// byzantine state, the server incarnation it last registered with) lives in
+// one `Volatile` member that crash() reassigns whole. What survives is the
+// machine and its lifetime: the incarnation counter, the fd counter, the
+// transport with its monotone msg-id counter, the metric counters and the
+// lease machinery, each with its reason at the member.
 #pragma once
 
 #include <functional>
@@ -61,15 +69,6 @@ struct ClientConfig {
   DataPath data_path{DataPath::kDirectSan};
   protocol::TransportConfig transport;
   std::uint32_t block_size{4096};
-  // NFS mode: how long cached attributes are trusted before re-polling.
-  sim::LocalDuration attr_timeout{sim::local_seconds(3)};
-  // How often a deregistered client retries RegisterReq.
-  sim::LocalDuration reregister_retry{sim::local_millis(700)};
-  bool auto_reregister{true};
-  // V-lease renewal point as a fraction of tau; Frangipani heartbeat period
-  // as a fraction of tau.
-  double v_renew_frac{0.5};
-  double hb_beat_frac{0.34};
   // Page-cache capacity (0 = unbounded). When full, clean pages are evicted
   // LRU-first; if everything is dirty, the oldest dirty file is flushed to
   // make clean pages available.
@@ -120,26 +119,23 @@ class Client {
 
   // --- Introspection ------------------------------------------------------
   [[nodiscard]] NodeId id() const { return cfg_.id; }
-  [[nodiscard]] bool registered() const { return registered_; }
-  [[nodiscard]] bool accepting() const { return accepting_; }
+  [[nodiscard]] bool registered() const { return vol_.registered; }
+  [[nodiscard]] bool accepting() const { return vol_.accepting; }
   [[nodiscard]] bool crashed() const { return crashed_; }
-  [[nodiscard]] std::size_t dirty_pages() const { return cache_.dirty_count(); }
+  [[nodiscard]] std::size_t dirty_pages() const { return vol_.cache.dirty_count(); }
   [[nodiscard]] core::LeasePhase lease_phase() const;
   [[nodiscard]] metrics::Counters& counters() { return counters_; }
   [[nodiscard]] const metrics::Counters& counters() const { return counters_; }
-  [[nodiscard]] BlockCache& cache() { return cache_; }
-  [[nodiscard]] const BlockCache& cache() const { return cache_; }
+  [[nodiscard]] BlockCache& cache() { return vol_.cache; }
+  [[nodiscard]] const BlockCache& cache() const { return vol_.cache; }
   [[nodiscard]] const core::ClientLeaseAgent* lease_agent() const { return agent_.get(); }
   [[nodiscard]] protocol::LockMode lock_mode(Fd fd) const;
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
-  [[nodiscard]] std::uint64_t ops_rejected() const { return ops_rejected_; }
-  [[nodiscard]] std::uint32_t server_incarnation() const { return server_incarnation_; }
+  [[nodiscard]] std::uint32_t server_incarnation() const { return vol_.server_incarnation; }
 
   // Observers for benches/tests.
   std::function<void(core::LeasePhase, core::LeasePhase)> on_phase_change;
   std::function<void()> on_registered;
-  std::function<void()> on_lease_expired;
 
  private:
   struct LockWait {
@@ -150,6 +146,7 @@ class Client {
     FileId file;
     protocol::FileAttr attr;
     std::vector<protocol::Extent> extents;
+    // Assigned only by set_mode().
     protocol::LockMode mode{protocol::LockMode::kNone};
     // Generation of the grant `mode` came from (see protocol/messages.hpp).
     std::uint32_t lock_gen{0};
@@ -190,27 +187,83 @@ class Client {
     // uncontended acquire path never touches a side map or allocates.
     SmallVec<LockWait, 2> lock_waits;
   };
+  struct RogueWrite {
+    DiskId disk;
+    storage::BlockAddr addr{0};
+    Bytes data;
+  };
+  struct CapturedDatagram {
+    std::uint32_t epoch{0};
+    std::uint32_t incarnation{0};
+    Bytes bytes;
+  };
+  // Everything a crash loses: crash() cancels the timers below and then
+  // reassigns the whole record.
+  struct Volatile {
+    explicit Volatile(BlockCache c) : cache(std::move(c)) {}
+    // Its pages are volatile; its hit/miss/eviction totals are metrics and
+    // move, emptied, into the next record.
+    BlockCache cache;
+    // Flat open-addressing table: a handful of open fds per client at steady
+    // state, probed once per data op.
+    FlatMap<Fd, FileId> fds;
+    std::map<FileId, FileState> files;
+    bool registered{false};
+    bool accepting{false};
+    bool register_inflight{false};
+    sim::TimerId register_timer{0};
+    sim::TimerId writeback_timer{0};
+    // Last server incarnation seen in a RegisterReply (0 = never registered).
+    std::uint32_t server_incarnation{0};
+    // --- Byzantine state (unused when cfg_.byzantine is all-off) -----------
+    std::vector<RogueWrite> rogue_writes;
+    std::uint64_t rogue_io_key{0};  // captured at expiry; never re-keyed
+    std::uint32_t rogue_rounds_left{0};
+    std::vector<CapturedDatagram> captured;  // bounded ring of server msgs
+    std::size_t captured_next{0};
+    sim::TimerId rogue_timer{0};
+    sim::TimerId replay_timer{0};
+    sim::TimerId forge_timer{0};
+  };
 
   // Setup & lifecycle.
   void wire_transport();
   void build_lease_machinery();
+  // start() and restart(): attach, register, arm the periodic timers.
+  void power_on();
   void register_with_server();
   void schedule_register_retry();
   void handle_lease_expired();
-  void invalidate_everything();
+  // Drops every lock and cached page; with `new_incarnation` also every
+  // grant generation (a restarted server numbers them from scratch).
+  void invalidate_everything(bool new_incarnation);
   // The server restarted (new incarnation): re-register while the lease is
   // still valid, then reassert every held lock so the cache survives
   // (paper section 6).
   void handle_stale_session();
   void reassert_locks();
-  void reset_lock_generations();
+  // Cancels every timer in vol_ (crash and destruction).
+  void cancel_timers();
 
-  // Request plumbing.
-  [[nodiscard]] bool gate(ErrorCode& why) const;
+  // The admission check every public call starts with: the gate (crash,
+  // registration, quiesce, Frangipani lease) and, for calls naming an fd,
+  // its lookup. On refusal the error goes to `cb` and false / nullptr comes
+  // back; `cb` itself is neither copied nor wrapped.
+  template <class Cb>
+  bool admit(Cb& cb);
+  template <class Cb>
+  FileState* admit(Cb& cb, Fd fd);
   FileState* state_of(Fd fd);
   FileState& state_for(FileId file);
 
   // Locking.
+  // The one place FileState::mode changes: bumps mode_seq and, on a drop to
+  // kNone, drops the file's cached pages (nothing protects them any more)
+  // and, unless `v_lease_lapsed`, releases its V-lease object.
+  void set_mode(FileState& fs, protocol::LockMode mode, bool v_lease_lapsed = false);
+  // Forgets the revocation in progress and any unresolved lock request; with
+  // `new_incarnation` also the grant generation and cookie.
+  static void forget_lock_state(FileState& fs, bool new_incarnation);
   void ensure_lock(FileId file, protocol::LockMode mode, std::function<void(Status)> cb);
   // Downgrades the held mode and sends the UnlockReq (any required flush has
   // already completed). The release() fast path reaches here directly.
@@ -238,6 +291,9 @@ class Client {
   // Fails every queued size waiter (all files) with `why`; used when pending
   // transport requests are abandoned, which silently drops their handlers.
   void abort_size_rounds(ErrorCode why);
+  // Locked (or NFS-validated) read: server-shipped or direct by data path.
+  void read_data(FileId file, std::uint64_t offset, std::uint32_t len,
+                 std::function<void(Result<Bytes>)> cb);
   void read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
                    std::function<void(Result<Bytes>)> cb);
   void write_direct(FileState& fs, std::uint64_t offset, Bytes data,
@@ -246,6 +302,8 @@ class Client {
                     std::function<void(Result<Bytes>)> cb);
   void write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
                      std::function<void(Status)> cb);
+  // SAN registration key of the current session (storage/io.hpp).
+  [[nodiscard]] std::uint64_t io_key() const;
   void fetch_block(FileState& fs, std::uint64_t fb,
                    std::function<void(Result<Bytes>)> cb);
   void write_block_through(FileState& fs, std::uint64_t fb, const Bytes& data,
@@ -263,8 +321,6 @@ class Client {
   void maybe_revalidate(FileState& fs, std::function<void(Status)> cb);
 
   // Byzantine behavior machinery (no-ops for honest clients).
-  void arm_byzantine_timers();
-  void cancel_byzantine_timers();
   // write_after_expiry: freeze the dirty cache (with block locations and the
   // superseded registration's io_key) at expiry time, then keep re-submitting
   // it raw to the SAN — the slow-computer late write the fence must stop.
@@ -280,63 +336,38 @@ class Client {
   // Marks a misbehaviour this client acted out (no-op when untraced).
   void record_byzantine(obs::ByzAction action, std::uint64_t detail = 0);
 
+  // --- Survives a crash ----------------------------------------------------
   storage::SanFabric* san_;
   ClientConfig cfg_;
   sim::NodeClock clock_;
   // Typed flight recorder; null when tracing is off.
   obs::Recorder* rec_{nullptr};
 
+  // Metrics outlive the machine's lives, as every other node's do.
   metrics::Counters counters_;
+  // Its msg-id counter must stay monotone across reboots: the server's
+  // at-most-once window (one reply cache per client) depends on it.
   protocol::ClientTransport transport_;
-  BlockCache cache_;
 
-  // Lease machinery (one of these by strategy; ST uses agent_).
+  // Lease machinery (one of these by strategy; ST uses agent_). Kept, and
+  // deactivated by a crash, because its lifetime totals are read across
+  // crashes (perfbench sums lease_agent()->expiries()).
   std::unique_ptr<core::ClientLeaseAgent> agent_;
   std::unique_ptr<baselines::VLeaseClientScheduler> v_sched_;
   std::unique_ptr<baselines::HeartbeatClientScheduler> hb_sched_;
 
-  sim::TimerId writeback_timer_{0};
   bool started_{false};
   bool crashed_{false};
-  bool registered_{false};
-  bool accepting_{false};
-  bool register_inflight_{false};
-  sim::TimerId register_timer_{0};
-  // Last server incarnation seen in a RegisterReply (0 = never registered).
-  std::uint32_t server_incarnation_{0};
-
+  // A reused fd would alias a file opened in a later life.
   Fd next_fd_{1};
-  // Flat open-addressing table: a handful of open fds per client at steady
-  // state, probed once per data op.
-  FlatMap<Fd, FileId> fds_;
-  std::map<FileId, FileState> files_;
-
-  std::uint64_t ops_completed_{0};
-  std::uint64_t ops_rejected_{0};
   // Incarnation counter: bumped on crash so SAN completions from a previous
   // life are discarded instead of mutating the rebooted client.
   std::uint32_t gen_{0};
-
-  // --- Byzantine state (unused when cfg_.byzantine is all-off) -------------
-  struct RogueWrite {
-    DiskId disk;
-    storage::BlockAddr addr{0};
-    Bytes data;
-  };
-  struct CapturedDatagram {
-    std::uint32_t epoch{0};
-    std::uint32_t incarnation{0};
-    Bytes bytes;
-  };
-  std::vector<RogueWrite> rogue_writes_;
-  std::uint64_t rogue_io_key_{0};  // captured at expiry; never re-keyed
-  std::uint32_t rogue_rounds_left_{0};
-  std::vector<CapturedDatagram> captured_;  // bounded ring of server msgs
-  std::size_t captured_next_{0};
-  sim::TimerId rogue_timer_{0};
-  sim::TimerId replay_timer_{0};
-  sim::TimerId forge_timer_{0};
+  // The forge/replay choice stream continues across reboots rather than
+  // rewinding to its seed.
   std::uint32_t byz_rng_state_{0};
+
+  Volatile vol_;
 };
 
 }  // namespace stank::client

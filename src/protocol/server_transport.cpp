@@ -57,10 +57,7 @@ ServerTransport::Executed* ServerTransport::Session::find(MsgId id) {
   return nullptr;
 }
 
-ServerTransport::Session& ServerTransport::session(NodeId client, std::uint32_t epoch) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(client.value()) << 32) | epoch;
-  return sessions_[key];
-}
+ServerTransport::Session& ServerTransport::session(NodeId client) { return sessions_[client]; }
 
 void ServerTransport::handle_datagram(NodeId from, const Bytes& datagram) {
   auto frame = decode(datagram);
@@ -98,7 +95,7 @@ void ServerTransport::handle_datagram(NodeId from, const Bytes& datagram) {
 }
 
 void ServerTransport::handle_request(const Frame& f) {
-  Session& s = session(f.sender, f.epoch);
+  Session& s = session(f.sender);
   if (const Executed* seen = s.find(f.msg_id)) {
     if (seen->reply.has_value()) {
       // Retransmission of a completed request: re-send the cached reply,
@@ -168,7 +165,7 @@ void ServerTransport::respond(NodeId client, MsgId id, std::uint32_t epoch, bool
     f.kind = FrameKind::kNack;
   }
 
-  if (Executed* e = session(client, epoch).find(id)) {
+  if (Executed* e = session(client).find(id)) {
     STANK_ASSERT_MSG(!e->reply.has_value(), "double reply to one request");
     e->reply = f;
   }

@@ -1,9 +1,12 @@
 // Server side of the control-network session.
 //
 // Responsibilities:
-//  * At-most-once request execution per (client, epoch, msg id), with a
-//    bounded reply cache so retransmitted requests re-send the original
-//    reply instead of re-executing.
+//  * At-most-once request execution per (client, msg id), with a bounded
+//    reply cache per client so retransmitted requests re-send the original
+//    reply instead of re-executing. Client msg ids are monotone for the
+//    client's whole life (across its epochs and reboots), so one window per
+//    client covers every session it ever opens, and a request datagram
+//    cannot create server state by naming a made-up epoch.
 //  * The ACK gate: before ANY positive acknowledgment leaves this node, the
 //    may_ack predicate is consulted. Section 3.1: "we require the server not
 //    to ACK messages if it has already started a counter to expire client
@@ -90,7 +93,7 @@ class ServerTransport {
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
  private:
-  // One admitted request of a session: its id and the reply it was given
+  // One admitted request of a client: its id and the reply it was given
   // (nullopt while the handler is still running).
   struct Executed {
     MsgId id;
@@ -127,7 +130,7 @@ class ServerTransport {
   void send_reply_frame(NodeId client, const Frame& f);
   void send_frame(NodeId to, const Frame& f);
   void transmit_server_msg(MsgId id);
-  Session& session(NodeId client, std::uint32_t epoch);
+  Session& session(NodeId client);
 
   net::ControlNet* net_;
   sim::NodeClock* clock_;
@@ -139,10 +142,9 @@ class ServerTransport {
   std::uint32_t incarnation_{0};
   std::uint64_t next_msg_{1};
 
-  // Sessions keyed by packed (client, epoch): one flat table instead of a
-  // map-of-maps, so a million-client server pays one probe per request and
-  // ~56 bytes of per-session overhead instead of two bucket chains.
-  FlatMap<std::uint64_t, Session> sessions_;
+  // One reply-cache session per client, in one flat table: a million-client
+  // server pays one probe per request and ~56 bytes of per-session overhead.
+  FlatMap<NodeId, Session> sessions_;
   std::unordered_map<MsgId, OutMsg> out_msgs_;
 };
 

@@ -22,8 +22,9 @@ struct Fixture {
   std::vector<std::unique_ptr<Client>> clients;
   static constexpr std::uint32_t kBs = 64;
 
-  explicit Fixture(int num_clients = 2, core::LeaseStrategy strategy =
-                                            core::LeaseStrategy::kStorageTank)
+  explicit Fixture(int num_clients = 2,
+                   core::LeaseStrategy strategy = core::LeaseStrategy::kStorageTank,
+                   sim::LocalDuration recovery_grace = {})
       : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
     san.add_disk(DiskId{1}, 4096, kBs);
 
@@ -34,6 +35,7 @@ struct Fixture {
     scfg.data_disks = {DiskId{1}};
     scfg.strategy = strategy;
     scfg.demand_timeout = sim::local_seconds(3);
+    scfg.recovery_grace = recovery_grace;
     server = std::make_unique<server::Server>(engine, net, san, sim::LocalClock(1.0), scfg);
     server->start();
 
@@ -196,6 +198,18 @@ TEST(Client, CloseRetainsCacheAndLocks) {
   EXPECT_EQ(r.error(), ErrorCode::kBadHandle);
 }
 
+TEST(Client, NackedCloseReportsNacked) {
+  Fixture f;
+  Fd fd = f.must_open(0, "/file");
+  // The server starts timing client 0 out, so it NACKs its requests.
+  f.server->inject_delivery_failure(NodeId{100});
+  std::optional<Status> st;
+  f.c(0).close(fd, [&](Status s) { st = s; });
+  f.run_for(0.1);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->error(), ErrorCode::kNacked);  // as every other call reports it
+}
+
 TEST(Client, ExplicitLockAndRelease) {
   Fixture f;
   Fd fd = f.must_open(0, "/file");
@@ -280,7 +294,6 @@ TEST(Client, QuiescedClientRejectsNewOps) {
   f.c(0).read(fd, 0, 64, [&](Result<Bytes> res) { r = std::move(res); });
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->error(), ErrorCode::kQuiesced);
-  EXPECT_GT(f.c(0).ops_rejected(), 0u);
 }
 
 TEST(Client, OpportunisticRenewalKeepsActiveClientInPhase1) {
@@ -332,7 +345,6 @@ TEST(Client, NfsPollModeSeesStaleDataWithinAttrTimeout) {
     c.block_size = 64;
     c.coherence = CoherenceMode::kNfsPoll;
     c.data_path = DataPath::kServerShipped;
-    c.attr_timeout = sim::local_seconds(3);
     return std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), c);
   };
   auto c0 = mk(100), c1 = mk(101);
@@ -505,6 +517,24 @@ TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
   EXPECT_GT(f.c(0).counters().lease_only_msgs, 2u);
   EXPECT_TRUE(f.c(0).registered());
   EXPECT_EQ(f.c(0).lock_mode(fd), LockMode::kExclusive);  // lease kept alive
+}
+
+TEST(Client, RefusedReassertionStopsVLeaseRenewals) {
+  Fixture f(1, core::LeaseStrategy::kVLeases, sim::local_millis(1));
+  Fd fd = f.must_open(0, "/file");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(64, 1)).is_ok());
+  // A 1 ms grace period is over before the client learns of the restart
+  // (from its next renewal's stale-session reply), so its reassertion is
+  // refused.
+  f.server->crash();
+  f.server->restart();
+  f.run_for(5.0);
+  ASSERT_TRUE(f.c(0).registered());
+  ASSERT_EQ(f.c(0).lock_mode(fd), LockMode::kNone);
+  // The dropped lock's object lease is released with it: no more renewals.
+  const auto renewals = f.c(0).counters().lease_only_msgs;
+  f.run_for(10.0);
+  EXPECT_EQ(f.c(0).counters().lease_only_msgs, renewals);
 }
 
 TEST(Client, FrangipaniStrategyHeartbeats) {

@@ -83,12 +83,19 @@ TEST(ServerTransport, AtMostOnceExecution) {
   EXPECT_EQ(f.client_rx.size(), 2u);
 }
 
-TEST(ServerTransport, DistinctEpochsAreDistinctSessions) {
+TEST(ServerTransport, OneReplyCachePerClientAcrossEpochs) {
   Fixture f;
-  f.client_send(KeepAliveReq{}, 1, 1);
-  f.client_send(KeepAliveReq{}, 1, 2);  // same id, new epoch: executes again
+  // Client msg ids are monotone for the client's whole life, so the epoch a
+  // datagram names opens no session of its own: a request retransmitted
+  // under 100 made-up epochs executes once and every copy is replayed from
+  // the client's one reply cache.
+  for (std::uint32_t epoch = 1; epoch <= 101; ++epoch) {
+    f.client_send(KeepAliveReq{}, 1, epoch);
+  }
   f.engine.run();
-  EXPECT_EQ(f.handler_calls, 2);
+  EXPECT_EQ(f.handler_calls, 1);
+  EXPECT_EQ(f.counters.reply_cache_hits, 100u);
+  EXPECT_EQ(f.client_rx.size(), 101u);
 }
 
 TEST(ServerTransport, NackReply) {
