@@ -1,6 +1,6 @@
 // Experiment M2 — simulation-core hot-path benchmarks.
 //
-// Four workloads that dominate every experiment in this repo:
+// Five workloads that dominate every experiment in this repo:
 //  * schedule+fire    — the basic event-loop cycle (message delivery, disk
 //                       service completions).
 //  * cancel churn     — the lease keep-alive pattern: a timer is scheduled,
@@ -8,6 +8,9 @@
 //                       before it fires. Schedule/cancel-heavy by design
 //                       (paper section 3.1: opportunistic renewal re-arms the
 //                       expiry timer on every acknowledged request).
+//  * swarm churn      — the same pattern at swarm scale: 100k live timers
+//                       re-armed 0.5-1 s ahead of a clock that moves, so the
+//                       timers not re-armed in time fire.
 //  * self-reschedule  — periodic timer chains (retry schedules, workload
 //                       generators).
 //  * datagram path    — codec encode -> ControlNet send -> delivery, the full
@@ -15,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "common/table.hpp"
 #include "net/control_net.hpp"
@@ -84,6 +88,39 @@ Metric bench_cancel_churn() {
   for (auto id : ids) e.cancel(id);
   e.run();
   return {"cancel churn", kIters, wall};
+}
+
+// Cancel churn at a swarm-sized population. Each iteration re-arms one of
+// kLive timers 0.5-1 s ahead; the clock advances 5 us per iteration, so a
+// timer waits ~0.5 s between re-arms on average and about a fifth of them
+// fire first (re-arming a fired timer finds nothing to cancel).
+Metric bench_cancel_churn_swarm() {
+  constexpr std::size_t kLive = 100'000;
+  constexpr std::uint64_t kIters = 2'000'000;
+  constexpr std::uint64_t kAdvanceEvery = 16;
+  constexpr sim::Duration kAdvance{5'000 * static_cast<std::int64_t>(kAdvanceEvery)};
+  sim::Engine e;
+  e.set_event_limit(~0ull);
+  std::vector<sim::TimerId> ids(kLive);
+  sim::Rng rng(42);
+  std::uint64_t fired = 0;
+  auto arm = [&](std::size_t k) {
+    ids[k] = e.schedule_after(sim::Duration{rng.uniform_int(500'000'000, 1'000'000'000)},
+                              [&fired]() { ++fired; });
+  };
+  for (std::size_t k = 0; k < kLive; ++k) arm(k);
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < kIters; ++i) {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(kLive) - 1));
+    e.cancel(ids[k]);
+    arm(k);
+    if (i % kAdvanceEvery == kAdvanceEvery - 1) e.run_until(e.now() + kAdvance);
+  }
+  const double wall = seconds_since(t0);
+  STANK_ASSERT(fired > 0 && fired < kIters);
+  for (auto id : ids) e.cancel(id);
+  e.run();
+  return {"swarm churn (100k live)", kIters, wall};
 }
 
 // A few periodic timers each re-arming themselves — retry schedules.
@@ -158,6 +195,7 @@ int main() {
   const Metric metrics[] = {
       bench_schedule_fire(),
       bench_cancel_churn(),
+      bench_cancel_churn_swarm(),
       bench_self_reschedule(),
       bench_datagram_path(),
   };

@@ -6,6 +6,18 @@
 #
 # Regenerate a golden file with `<binary> > <file>` after a
 # change that is meant to move a figure, and say why in the commit.
+#
+# swarm_digests.txt is not read by this script: CI's "Swarm digests
+# identical across thread counts" step diffs bench_swarm's (K, digest)
+# pairs against it, so a change to event order fails there. A change that
+# is meant to move the simulation regenerates it from a Release build with
+# the step's own sweep and awk filter:
+#
+#   STANK_SWARM_NS=100 STANK_SWARM_N_SHARDED=2000 STANK_SWARM_KS=2,4 \
+#   STANK_SWARM_THREADS=1 ./build/bench/bench_swarm | awk -F'|' '
+#     function t(s) { gsub(/^ +| +$/, "", s); return s }
+#     !d { for (i = 2; i < NF; i++) { if (t($i) == "digest") d = i; if (t($i) == "K") k = i } next }
+#     t($k) ~ /^[0-9]+$/ { print t($k), t($d) }' > bench/golden/swarm_digests.txt
 if(NOT BENCH OR NOT GOLDEN)
   message(FATAL_ERROR "usage: cmake -DBENCH=<binary> -DGOLDEN=<file> -P compare.cmake")
 endif()

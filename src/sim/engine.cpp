@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -8,10 +9,11 @@
 namespace stank::sim {
 
 namespace {
-// Bounds on the per-thread storage pools: 256 chunks is 64k slots (~4MB),
-// far above any tier-1 scenario's live-timer peak; overflow simply frees.
+// Bounds on the per-thread storage pools: 256 chunks is 64k slots (80 B
+// each, ~5 MB), far above any tier-1 scenario's live-timer peak; overflow
+// simply frees.
 constexpr std::size_t kMaxPooledChunks = 256;
-constexpr std::size_t kMaxPooledHeaps = 2;
+constexpr std::size_t kMaxPooledTiers = 2;
 }  // namespace
 
 std::vector<std::unique_ptr<Engine::Slot[]>>& Engine::chunk_pool() {
@@ -19,16 +21,21 @@ std::vector<std::unique_ptr<Engine::Slot[]>>& Engine::chunk_pool() {
   return pool;
 }
 
-std::vector<std::vector<Engine::Entry>>& Engine::heap_pool() {
-  thread_local std::vector<std::vector<Entry>> pool;
+std::vector<Engine::Tiers>& Engine::tiers_pool() {
+  thread_local std::vector<Tiers> pool;
   return pool;
 }
 
 Engine::Engine() {
-  auto& hpool = heap_pool();
-  if (!hpool.empty()) {
-    heap_ = std::move(hpool.back());
-    hpool.pop_back();
+  auto& tpool = tiers_pool();
+  if (!tpool.empty()) {
+    Tiers& t = tpool.back();
+    heap_ = std::move(t.heap);
+    overflow_ = std::move(t.overflow);
+    ring_ = std::move(t.ring);
+    tpool.pop_back();
+  } else {
+    ring_.assign(kRingSize, kNoSlot);
   }
 }
 
@@ -39,24 +46,30 @@ Engine::~Engine() {
     for (std::uint32_t i = 0; i < kChunkSize; ++i) {
       chunk[i].fn.reset();
       chunk[i].gen = 1;
-      chunk[i].next_free = kNoSlot;
+      chunk[i].next = kNoSlot;
     }
     cpool.push_back(std::move(chunk));
   }
-  auto& hpool = heap_pool();
-  if (hpool.size() < kMaxPooledHeaps && heap_.capacity() > 0) {
+  auto& tpool = tiers_pool();
+  if (tpool.size() < kMaxPooledTiers) {
+    for (std::uint32_t w = 0; w < kRingWords; ++w) {
+      for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        ring_[w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits))] = kNoSlot;
+      }
+    }
     heap_.clear();
-    hpool.push_back(std::move(heap_));
+    overflow_.clear();
+    tpool.push_back(Tiers{std::move(heap_), std::move(overflow_), std::move(ring_)});
   }
 }
 
 std::uint32_t Engine::acquire_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t idx = free_head_;
-    free_head_ = slot(idx).next_free;
+    free_head_ = slot(idx).next;
     return idx;
   }
-  STANK_ASSERT_MSG(num_slots_ < kNoSlot, "timer slot pool exhausted");
+  STANK_ASSERT_MSG(num_slots_ < kHeadTag, "timer slot pool exhausted");
   if ((num_slots_ & (kChunkSize - 1)) == 0) {
     auto& cpool = chunk_pool();
     if (!cpool.empty()) {
@@ -73,46 +86,155 @@ void Engine::release_slot(std::uint32_t idx) {
   Slot& s = slot(idx);
   s.fn.reset();
   ++s.gen;  // invalidates every outstanding TimerId / heap entry for the slot
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = idx;
   --live_;
 }
 
-void Engine::heap_push(const Entry& e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
+void Engine::heap_push(std::vector<Entry>& h, const Entry& e) {
+  std::size_t i = h.size();
+  h.push_back(e);
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!entry_before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!entry_before(e, h[parent])) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = e;
+  h[i] = e;
 }
 
-void Engine::heap_sift_down(std::size_t hole, const Entry& e) {
-  const std::size_t n = heap_.size();
+void Engine::heap_sift_down(std::vector<Entry>& h, std::size_t hole, const Entry& e) {
+  const std::size_t n = h.size();
   for (;;) {
     const std::size_t first = 4 * hole + 1;
     if (first >= n) break;
     std::size_t best = first;
     const std::size_t last = first + 4 < n ? first + 4 : n;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (entry_before(heap_[c], heap_[best])) best = c;
+      if (entry_before(h[c], h[best])) best = c;
     }
-    if (!entry_before(heap_[best], e)) break;
-    heap_[hole] = heap_[best];
+    if (!entry_before(h[best], e)) break;
+    h[hole] = h[best];
     hole = best;
   }
-  heap_[hole] = e;
+  h[hole] = e;
 }
 
-void Engine::heap_pop_top() {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_sift_down(0, last);
+void Engine::heap_pop_top(std::vector<Entry>& h) {
+  const Entry last = h.back();
+  h.pop_back();
+  if (!h.empty()) {
+    heap_sift_down(h, 0, last);
   }
+}
+
+void Engine::heapify(std::vector<Entry>& h) {
+  // Bottom-up: O(n), and correct because every subtree below the last parent
+  // is already a heap of one.
+  if (h.size() > 1) {
+    for (std::size_t i = (h.size() - 2) / 4 + 1; i-- > 0;) {
+      const Entry e = h[i];
+      heap_sift_down(h, i, e);
+    }
+  }
+}
+
+void Engine::ring_link(std::uint32_t idx, std::uint64_t bucket, SimTime at) {
+  const auto r = static_cast<std::uint32_t>(bucket & kRingMask);
+  Slot& s = slot(idx);
+  s.offset = static_cast<std::uint32_t>(at.ns & (kBucketWidth - 1));
+  s.where = kHeadTag | r;
+  s.next = ring_[r];
+  if (s.next != kNoSlot) {
+    slot(s.next).where = idx;
+  } else {
+    occupied_[r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+  ring_[r] = idx;
+}
+
+void Engine::ring_unlink(std::uint32_t idx) {
+  const Slot& s = slot(idx);
+  if (s.next != kNoSlot) {
+    slot(s.next).where = s.where;
+  }
+  if ((s.where & kHeadTag) != 0) {
+    const std::uint32_t r = s.where & ~kHeadTag;
+    ring_[r] = s.next;
+    if (s.next == kNoSlot) {
+      occupied_[r / 64] &= ~(std::uint64_t{1} << (r % 64));
+    }
+  } else {
+    slot(s.where).next = s.next;
+  }
+}
+
+std::uint64_t Engine::next_occupied_distance() const {
+  // The current bucket's ring entry is always empty, so a full circle from
+  // the bucket after it sees every occupied bucket; the start word is read a
+  // second time for the bits below the start.
+  const auto cur = static_cast<std::uint32_t>(cur_bucket_ & kRingMask);
+  const std::uint32_t start = (cur + 1) & kRingMask;
+  std::uint32_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  for (std::uint32_t n = 0; n <= kRingWords; ++n) {
+    if (bits != 0) {
+      const std::uint32_t r = w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+      return (r - cur) & kRingMask;
+    }
+    w = (w + 1) % kRingWords;
+    bits = occupied_[w];
+  }
+  return 0;
+}
+
+bool Engine::promote_next_bucket() {
+  // Only called with no live entry in the heap, so the heap is empty:
+  // discard_dead_top() popped every tombstone.
+  if (const std::uint64_t d = next_occupied_distance(); d != 0) {
+    cur_bucket_ += d;
+  } else {
+    while (!overflow_.empty() && !entry_live(overflow_.front())) {
+      heap_pop_top(overflow_);
+      --overflow_tombstones_;
+    }
+    if (overflow_.empty()) {
+      return false;
+    }
+    cur_bucket_ = bucket_of(overflow_.front().at);
+  }
+  // The ring's window moved: overflow timers it now reaches join their
+  // buckets, in (time, seq) order.
+  while (!overflow_.empty()) {
+    const Entry e = overflow_.front();
+    if (entry_live(e)) {
+      const std::uint64_t b = bucket_of(e.at);
+      if (b - cur_bucket_ >= kRingSize) break;
+      ring_link(e.slot, b, e.at);
+    } else {
+      --overflow_tombstones_;
+    }
+    heap_pop_top(overflow_);
+  }
+  // Move the current bucket into the heap. Its list runs newest first, so
+  // reversing it restores schedule order before the sequence numbers are
+  // handed out.
+  const auto r = static_cast<std::uint32_t>(cur_bucket_ & kRingMask);
+  const SimTime base{static_cast<std::int64_t>(cur_bucket_ << kBucketShift)};
+  for (std::uint32_t i = ring_[r]; i != kNoSlot;) {
+    Slot& s = slot(i);
+    s.where = kInHeap;
+    heap_.push_back(Entry{base + Duration{s.offset}, 0, i, s.gen});
+    i = s.next;
+  }
+  ring_[r] = kNoSlot;
+  occupied_[r / 64] &= ~(std::uint64_t{1} << (r % 64));
+  std::reverse(heap_.begin(), heap_.end());
+  for (Entry& e : heap_) {
+    e.seq = next_seq_++;
+  }
+  heapify(heap_);
+  return true;
 }
 
 TimerId Engine::schedule_at(SimTime t, EventFn fn) {
@@ -122,7 +244,16 @@ TimerId Engine::schedule_at(SimTime t, EventFn fn) {
   Slot& s = slot(idx);
   s.fn = std::move(fn);
   ++live_;
-  heap_push(Entry{t, next_seq_++, idx, s.gen});
+  const std::uint64_t b = bucket_of(t);
+  if (b <= cur_bucket_) {
+    s.where = kInHeap;
+    heap_push(heap_, Entry{t, next_seq_++, idx, s.gen});
+  } else if (b - cur_bucket_ < kRingSize) {
+    ring_link(idx, b, t);
+  } else {
+    s.where = kInOverflow;
+    heap_push(overflow_, Entry{t, next_seq_++, idx, s.gen});
+  }
   return make_id(idx, s.gen);
 }
 
@@ -131,52 +262,42 @@ bool Engine::cancel(TimerId id) {
   if (idx >= num_slots_ || slot(idx).gen != gen_of(id)) {
     return false;  // already ran, already cancelled, or never existed
   }
+  const std::uint32_t where = slot(idx).where;
+  if (where != kInHeap && where != kInOverflow) {
+    ring_unlink(idx);  // leaves nothing behind
+  }
   release_slot(idx);
-  ++tombstones_;  // its heap entry is now dead; discarded lazily
-  if (tombstones_ * 2 > heap_.size() && heap_.size() > 64) {
-    compact();
+  // A heap entry stays behind as a tombstone, discarded lazily.
+  if (where == kInHeap) {
+    add_tombstone(heap_, tombstones_);
+  } else if (where == kInOverflow) {
+    add_tombstone(overflow_, overflow_tombstones_);
   }
   return true;
 }
 
-void Engine::compact() {
-  std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
-  // Heapify bottom-up: O(n), and correct because every subtree below the
-  // last parent is already a heap of one.
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-      const Entry e = heap_[i];
-      heap_sift_down(i, e);
-    }
+void Engine::add_tombstone(std::vector<Entry>& h, std::size_t& tombstones) {
+  if (++tombstones * 2 > h.size() && h.size() > 64) {
+    std::erase_if(h, [this](const Entry& e) { return !entry_live(e); });
+    heapify(h);
+    tombstones = 0;
   }
-  tombstones_ = 0;
 }
 
 void Engine::discard_dead_top() {
-  if (tombstones_ == 0) {
-    return;  // nothing cancelled since the last compact: top must be live
-  }
   while (!heap_.empty() && !entry_live(heap_.front())) {
-    heap_pop_top();
+    heap_pop_top(heap_);
     --tombstones_;
   }
 }
 
 SimTime Engine::next_event_time() {
-  discard_dead_top();
-  if (heap_.empty()) {
-    return kNever;
-  }
-  return heap_.front().at;
+  return settle() ? heap_.front().at : kNever;
 }
 
-bool Engine::step() {
-  discard_dead_top();
-  if (heap_.empty()) {
-    return false;
-  }
+void Engine::fire_top() {
   const Entry e = heap_.front();
-  heap_pop_top();
+  heap_pop_top(heap_);
   STANK_ASSERT(e.at >= now_);
   now_ = e.at;
   Slot& s = slot(e.slot);
@@ -190,24 +311,33 @@ bool Engine::step() {
   ++executed_;
   STANK_ASSERT_MSG(executed_ <= event_limit_, "event limit exceeded: runaway simulation?");
   s.fn.consume();
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = e.slot;
+}
+
+bool Engine::step() {
+  if (!settle()) {
+    return false;
+  }
+  fire_top();
   return true;
 }
 
 void Engine::run_until(SimTime horizon) {
   stop_requested_ = false;
   while (!stop_requested_) {
-    discard_dead_top();
-    if (heap_.empty() || heap_.front().at > horizon) {
+    if (!settle() || heap_.front().at > horizon) {
       break;
     }
-    step();
+    fire_top();
   }
   // An idle engine advances to the horizon; a stopped one stays at the time
   // of the last executed event.
   if (!stop_requested_ && now_ < horizon) {
     now_ = horizon;
+    if (live_ == 0) {
+      cur_bucket_ = bucket_of(now_);  // every tier is empty: re-anchor the ring
+    }
   }
 }
 
